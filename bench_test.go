@@ -360,32 +360,6 @@ func BenchmarkHybridPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkBitonicTopk compares the GPU-friendly bitonic selection
-// against quickselect (the §2 trade-off behind threshold reuse).
-func BenchmarkBitonicTopk(b *testing.B) {
-	r := tensor.RNG(13)
-	x := make([]float64, 1<<18)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b.Run("bitonic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topk.BitonicThreshold(x, 1024)
-		}
-	})
-	b.Run("quickselect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topk.Threshold(x, 1024)
-		}
-	})
-	b.Run("sampled", func(b *testing.B) {
-		rr := tensor.RNG(14)
-		for i := 0; i < b.N; i++ {
-			topk.SampledThreshold(rr, x, 1024, 1<<14)
-		}
-	})
-}
-
 // --- Kernel micro-benchmarks (real wall time, -benchmem) ---
 
 // BenchmarkSparseAdd measures the COO merge kernel.
@@ -396,7 +370,7 @@ func BenchmarkSparseAdd(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			d[r.Intn(len(d))] = r.NormFloat64()
 		}
-		return sparse.FromDense(d)
+		return sparse.FromDenseThreshold(d, 0)
 	}
 	x, y := mk(), mk()
 	b.ResetTimer()
@@ -429,7 +403,7 @@ func BenchmarkTopkThresholdScan(b *testing.B) {
 	th := topk.Threshold(x, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		topk.SelectByThreshold(x, th)
+		topk.AppendSelectByThreshold(nil, x, th)
 	}
 }
 

@@ -15,14 +15,12 @@
 // -wire {f64,f32} selects the collective wire format: running the same
 // experiment in both modes yields the paired fidelity rows recorded in
 // EXPERIMENTS.md (the paper's systems ship float32 gradients).
-// -overlap {sim,legacy} selects DenseOvlp's overlap model — the
-// simulated bucket pipeline (default) or the historical scalar
-// discount — for paired before/after rows. -trace DIR records each
-// training configuration's final-iteration message trace into DIR for
-// offline analysis. -transport tcp makes the tcpsmoke experiment train
-// its configuration over real worker processes (one per rank, TCP
-// mesh), reporting host wall-clock alongside the modeled time; all
-// other experiments always use the deterministic in-process backend.
+// -trace DIR records each training configuration's final-iteration
+// message trace into DIR for offline analysis. -transport tcp makes the
+// tcpsmoke experiment train its configuration over real worker
+// processes (one per rank, TCP mesh), reporting host wall-clock
+// alongside the modeled time; all other experiments always use the
+// deterministic in-process backend.
 // -topology {flat,fattree,nvlink} with -node-size and -straggler apply
 // a network topology (hierarchical links, rail contention, seeded
 // straggler injection) to every measurement cluster; the default flat
@@ -60,8 +58,6 @@ var (
 		"tensor-kernel worker count (0 = GOMAXPROCS; results are bit-identical at any setting)")
 	wire = flag.String("wire", "f64",
 		"collective wire format: f64 (seed behavior) or f32 (float32 values, half-word accounting)")
-	overlap = flag.String("overlap", "sim",
-		"DenseOvlp overlap model: sim (bucket pipeline simulated against the backward schedule) or legacy (pre-engine scalar discount)")
 	traceDir = flag.String("trace", "",
 		"directory to record per-configuration message traces into (final training iteration of each weak-scaling/convergence config)")
 	transport = flag.String("transport", "inproc",
@@ -103,12 +99,6 @@ func main() {
 		profiling.Exit(2)
 	}
 	experiments.SetWire(w)
-	om, err := train.ParseOverlapMode(*overlap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-	experiments.SetOverlapMode(om)
 	topo, err := netmodel.BuildTopology(*topology, *nodeSize, *straggler,
 		experiments.SeedFor("topology", *topology))
 	if err != nil {

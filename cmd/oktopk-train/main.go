@@ -83,7 +83,6 @@ func main() {
 		straggler = flag.Float64("straggler", 0, "straggler severity s: ~12.5% of ranks compute (1+s)x slower with 0.1*s jitter, seeded from -seed (0 = off)")
 		workers   = flag.Int("workers", 0, "tensor-kernel worker count (0 = GOMAXPROCS; results are bit-identical at any setting)")
 		wire      = flag.String("wire", "f64", "collective wire format: f64 (seed behavior) or f32 (float32 values, half-word accounting)")
-		overlap   = flag.String("overlap", "sim", "DenseOvlp overlap model: sim (simulated bucket pipeline) or legacy (scalar discount)")
 		traceFile = flag.String("trace", "", "record the final iteration's message trace to this file")
 		ckptFile  = flag.String("checkpoint", "", "save training state to this file (periodically and at exit)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N iterations (0 = only at exit; needs -checkpoint)")
@@ -105,11 +104,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(2)
 	}
-	om, err := train.ParseOverlapMode(*overlap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
 
 	cfg := train.Config{
 		Workload:  *workload,
@@ -120,7 +114,6 @@ func main() {
 		LR:        *lr,
 		Adam:      *adam || *workload == "BERT",
 		Wire:      wm,
-		Overlap:   om,
 		Reduce: allreduce.Config{
 			Density: *density, Tau: *tau, TauPrime: *tauPrime,
 		},

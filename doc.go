@@ -90,8 +90,8 @@
 // expose per-layer backward schedules (nn.LayerCost), netmodel clocks
 // grow a two-track overlap window, and the trainer issues each
 // gradient bucket's allreduce the moment its last contributing layer
-// finishes backward (-overlap {sim,legacy} on both commands; DESIGN.md
-// "Overlap engine"). Message traces and checkpoint/resume are wired
+// finishes backward (DESIGN.md "Overlap engine"). Message traces and
+// checkpoint/resume are wired
 // into both commands (-trace, and -checkpoint/-ckpt-every/-resume on
 // oktopk-train).
 //

@@ -52,17 +52,11 @@ type Result struct {
 // (1-based); it is a collective operation.
 type Algorithm interface {
 	Name() string
-	// OverlapsBackward reports whether the implementation overlaps its
-	// communication with backward computation (DenseOvlp). Such
-	// algorithms also implement Overlapped; the training loop drives
-	// their reduction bucket by bucket against the backward schedule
-	// (or, in legacy mode, applies the historical scalar discount).
-	OverlapsBackward() bool
 	Reduce(cm cluster.Endpoint, acc []float64, t int) Result
 }
 
-// Overlapped is implemented by algorithms whose reduction can be
-// pipelined bucket by bucket against the backward pass. The training
+// Overlapped is implemented by algorithms whose reduction overlaps the
+// backward pass, pipelined bucket by bucket (DenseOvlp). The training
 // loop splits one logical Reduce into Buckets(n) IssueBucket calls —
 // each launched, inside a netmodel overlap window, the moment the last
 // layer contributing to that bucket finishes its backward — followed by
@@ -206,8 +200,7 @@ type Dense struct {
 // NewDense returns the dense baseline.
 func NewDense() *Dense { return &Dense{} }
 
-func (*Dense) Name() string           { return "Dense" }
-func (*Dense) OverlapsBackward() bool { return false }
+func (*Dense) Name() string { return "Dense" }
 
 // Reduce sums acc across all ranks densely.
 func (d *Dense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
@@ -225,8 +218,8 @@ func (d *Dense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
 // i's communication overlaps the backward computation that produces
 // bucket i+1. The training loop drives that pipeline through the
 // Overlapped interface (IssueBucket inside a netmodel overlap window);
-// Reduce remains the monolithic path used by legacy overlap mode and
-// volume measurements, producing bit-identical sums.
+// Reduce remains the monolithic path used by volume measurements,
+// producing bit-identical sums.
 type DenseOvlp struct {
 	cfg    Config
 	sum    []float64
@@ -238,8 +231,7 @@ func NewDenseOvlp(cfg Config) *DenseOvlp { return &DenseOvlp{cfg: cfg.Defaults()
 
 var _ Overlapped = (*DenseOvlp)(nil)
 
-func (*DenseOvlp) Name() string           { return "DenseOvlp" }
-func (*DenseOvlp) OverlapsBackward() bool { return true }
+func (*DenseOvlp) Name() string { return "DenseOvlp" }
 
 // Buckets returns the pipeline depth for n gradient components.
 func (d *DenseOvlp) Buckets(n int) int {

@@ -81,11 +81,11 @@ func TestDenseOvlpBucketsSumCorrectly(t *testing.T) {
 			t.Fatalf("update[%d]=%v want %v", i, results[0].Update[i], want)
 		}
 	}
-	if !NewDenseOvlp(Config{}).OverlapsBackward() {
-		t.Fatal("DenseOvlp must declare overlap")
+	if _, ok := Algorithm(NewDenseOvlp(Config{})).(Overlapped); !ok {
+		t.Fatal("DenseOvlp must implement Overlapped")
 	}
-	if NewDense().OverlapsBackward() {
-		t.Fatal("Dense must not declare overlap")
+	if _, ok := Algorithm(NewDense()).(Overlapped); ok {
+		t.Fatal("Dense must not implement Overlapped")
 	}
 }
 

@@ -40,8 +40,7 @@ func (d *HierDense) nodeSizeFor(cm cluster.Endpoint) int {
 	return 4
 }
 
-func (*HierDense) Name() string           { return "Hierarchical" }
-func (*HierDense) OverlapsBackward() bool { return false }
+func (*HierDense) Name() string { return "Hierarchical" }
 
 // Reduce sums acc across all ranks via the two-level schedule. It needs
 // the world communicator (the schedule builds node-local groups), so it

@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/cluster"
@@ -156,21 +155,4 @@ func (p *Plan) KillStep(rank, attempt int) int {
 		}
 	}
 	return 0
-}
-
-// NewRandomPlan draws one random fault for a size-rank job from a
-// seeded stream: same seed, same plan. maxFrame bounds the trigger
-// frame (it should be within the frames the job actually sends, or the
-// fault never fires and the run degenerates to the clean case).
-func NewRandomPlan(seed int64, size, maxFrame int) *Plan {
-	rng := rand.New(rand.NewSource(seed))
-	kinds := []string{Kill, Wedge, Stall, Delay, Corrupt, Drop}
-	f := Fault{
-		Kind:   kinds[rng.Intn(len(kinds))],
-		Rank:   rng.Intn(size),
-		Frame:  1 + rng.Intn(maxFrame),
-		Peer:   -1,
-		WallMS: 20 + rng.Intn(200),
-	}
-	return &Plan{Faults: []Fault{f}}
 }

@@ -91,6 +91,32 @@ func TestAllreduceRing(t *testing.T) {
 	}
 }
 
+// ReduceScatterBlock is the reduce-scatter half of the ring algorithm,
+// kept as a test-side reference: on return each rank holds the fully
+// reduced block r of the input in x[blockRange(r)] (other regions hold
+// partial garbage). It returns the rank's block bounds.
+func ReduceScatterBlock(cm cluster.Endpoint, x []float64) (lo, hi int) {
+	p, rank, n := cm.Size(), cm.Rank(), len(x)
+	if p == 1 {
+		return 0, n
+	}
+	next := (rank + 1) % p
+	prev := (rank - 1 + p) % p
+	for s := 0; s < p-1; s++ {
+		sb := ((rank-s)%p + p) % p
+		rb := ((rank-s-1)%p + p) % p
+		slo, shi := blockRange(n, p, sb)
+		sendWire(cm, next, tagAllreduce+8192+s, x[slo:shi])
+		rlo, rhi := blockRange(n, p, rb)
+		recvAxpy(cm, prev, tagAllreduce+8192+s, x[rlo:rhi])
+	}
+	lo, hi = blockRange(n, p, (rank+1)%p)
+	// The block is complete and would leave through a follow-up gather;
+	// round it so its owner holds the same values the wire would carry.
+	cm.Wire().Round(x[lo:hi])
+	return lo, hi
+}
+
 func TestReduceScatterBlock(t *testing.T) {
 	for _, p := range []int{2, 4, 5, 8} {
 		n := 97
@@ -166,7 +192,7 @@ func TestAllgather(t *testing.T) {
 func TestAllgatherSizes(t *testing.T) {
 	p := 8
 	runCluster(t, p, func(cm *cluster.Comm) error {
-		sizes := AllgatherSizes(cm, cm.Rank()*7+1)
+		sizes, _ := AllgatherSizesInto(cm, cm.Rank()*7+1, nil, nil)
 		for r, s := range sizes {
 			if s != r*7+1 {
 				t.Errorf("rank %d: sizes[%d]=%d want %d", cm.Rank(), r, s, r*7+1)
@@ -188,7 +214,7 @@ func TestAllgatherv(t *testing.T) {
 			for i := range aux {
 				aux[i] = int32(cm.Rank()*10 + i)
 			}
-			got := Allgatherv(cm, Chunk{Data: data, Aux: aux})
+			got := AllgathervInto(cm, Chunk{Data: data, Aux: aux}, nil)
 			if len(got) != p {
 				t.Errorf("P=%d: got %d chunks", p, len(got))
 				return nil
@@ -257,6 +283,28 @@ func TestReduce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// GatherChunks collects one variable-size chunk per rank onto root (nil
+// on other ranks), via direct sends — the simple pattern TopkA-style
+// roots use. Payload ownership stays with the senders (root must not
+// release the gathered Data/Aux).
+func GatherChunks(cm cluster.Endpoint, root int, mine Chunk) []Chunk {
+	mine.Origin = cm.Rank()
+	if cm.Rank() != root {
+		cm.SendChunk(root, tagGather, mine, mine.Words())
+		return nil
+	}
+	out := make([]Chunk, cm.Size())
+	out[root] = mine
+	for r := 0; r < cm.Size(); r++ {
+		if r == root {
+			continue
+		}
+		ch := cm.RecvChunk(r, tagGather)
+		out[ch.Origin] = ch
+	}
+	return out
 }
 
 func TestGatherChunks(t *testing.T) {

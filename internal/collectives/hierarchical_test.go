@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/tensor"
 )
 
 // TestHierarchicalAllreduce checks the two-level schedule against the
@@ -173,6 +174,30 @@ func TestHierarchicalTrafficShape(t *testing.T) {
 	}
 }
 
+// Alltoall performs a personalized exchange: sendBlocks[r] goes to rank
+// r; the returned slice holds what every rank sent to the caller
+// (indexed by source). Blocks may have different sizes (an MPI
+// Alltoallv). The schedule is the rotated pattern Ok-Topk's split phase
+// uses, avoiding endpoint congestion. Received blocks (every entry but
+// the caller's own) are pooled hop buffers the caller owns and may
+// release with cm.PutFloats once consumed.
+func Alltoall(cm cluster.Endpoint, sendBlocks [][]float64) [][]float64 {
+	p, rank := cm.Size(), cm.Rank()
+	if len(sendBlocks) != p {
+		panic("collectives: alltoall needs one block per rank")
+	}
+	const tagA2A = 16 << 20
+	out := make([][]float64, p)
+	out[rank] = sendBlocks[rank]
+	for s := 1; s < p; s++ {
+		dst := (rank + s) % p
+		src := (rank - s + p) % p
+		sendWire(cm, dst, tagA2A+s, sendBlocks[dst])
+		out[src] = recvWireFloats(cm, src, tagA2A+s)
+	}
+	return out
+}
+
 func TestAlltoall(t *testing.T) {
 	for _, p := range []int{2, 4, 7} {
 		runCluster(t, p, func(cm *cluster.Comm) error {
@@ -204,6 +229,32 @@ func TestAlltoall(t *testing.T) {
 			return nil
 		})
 	}
+}
+
+// ReduceScatterV reduces x across ranks and leaves rank r with the fully
+// reduced slice [cuts[r], cuts[r+1]) (variable-size blocks). cuts must
+// have length P+1 with cuts[0]=0 and cuts[P]=len(x). Built on the
+// rotated alltoall.
+func ReduceScatterV(cm cluster.Endpoint, x []float64, cuts []int) []float64 {
+	p, rank := cm.Size(), cm.Rank()
+	if len(cuts) != p+1 || cuts[0] != 0 || cuts[p] != len(x) {
+		panic("collectives: bad cuts")
+	}
+	blocks := make([][]float64, p)
+	for r := 0; r < p; r++ {
+		blocks[r] = x[cuts[r]:cuts[r+1]]
+	}
+	got := Alltoall(cm, blocks)
+	mine := tensor.Copy(x[cuts[rank]:cuts[rank+1]])
+	for r, blk := range got {
+		if r == rank {
+			continue
+		}
+		cm.Clock().Compute(float64(len(blk)))
+		tensor.Axpy(1, blk, mine)
+		cm.PutFloats(blk)
+	}
+	return mine
 }
 
 func TestReduceScatterV(t *testing.T) {

@@ -138,8 +138,7 @@ func NewDefault(cfg allreduce.Config) *OkTopk {
 	return New(cfg)
 }
 
-func (*OkTopk) Name() string           { return "OkTopk" }
-func (*OkTopk) OverlapsBackward() bool { return false }
+func (*OkTopk) Name() string { return "OkTopk" }
 
 // Config returns the worker's effective configuration.
 func (o *OkTopk) Config() allreduce.Config { return o.cfg }

@@ -61,8 +61,12 @@ func TestImagesClassesDiffer(t *testing.T) {
 	if a == -1 || b == -1 {
 		t.Skip("not enough samples per class")
 	}
-	tensor.Scale(1/float64(counts[a]), sums[a])
-	tensor.Scale(1/float64(counts[b]), sums[b])
+	for _, cl := range []int{a, b} {
+		inv := 1 / float64(counts[cl])
+		for i := range sums[cl] {
+			sums[cl][i] *= inv
+		}
+	}
 	var dist float64
 	for i := range sums[a] {
 		dlt := sums[a][i] - sums[b][i]

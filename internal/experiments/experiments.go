@@ -30,9 +30,6 @@ var wireMode = cluster.WireF64
 // clusters. Call it before RunSpecs, never concurrently with one.
 func SetWire(w cluster.Wire) { wireMode = w }
 
-// WireMode returns the active experiment wire format.
-func WireMode() cluster.Wire { return wireMode }
-
 // topoMode is the network topology every experiment cluster is built
 // with. Like wireMode it is set once before any specs run (the
 // -topology/-node-size/-straggler flags on cmd/oktopk-bench) and only
@@ -44,9 +41,6 @@ var topoMode netmodel.Topology
 // SetTopology selects the topology for subsequently built experiment
 // clusters. Call it before RunSpecs, never concurrently with one.
 func SetTopology(t netmodel.Topology) { topoMode = t }
-
-// TopologyMode returns the active experiment topology.
-func TopologyMode() netmodel.Topology { return topoMode }
 
 // SyntheticGradients builds P gradient vectors of size n with realistic
 // heavy-tailed values: a near-zero Gaussian bulk plus `heavy` large
@@ -98,20 +92,12 @@ type Table1Col struct {
 	Mean, Max map[string]float64
 }
 
-// Table1 prints the analytic cost-model terms of all algorithms next to
-// the per-rank volumes measured from the simulator (n=1M-scale synthetic
+// renderTable1 reassembles the Table 1 report from per-P measurement
+// columns: the analytic cost-model terms of all algorithms next to the
+// per-rank volumes measured from the simulator (n=1M-scale synthetic
 // gradient, steady state). The measured column validates the bandwidth
 // terms: TopkA/Gaussiank grow ∝P, TopkDSA sits between 4k and 2k+n,
 // gTopk grows with log P, Ok-Topk stays within [2k, 6k]·(P−1)/P.
-//
-// It is the serial composition of the registry's table1 specs; the
-// parallel scheduler produces the identical output through renderTable1.
-func Table1(w io.Writer, ps []int, n, k int) {
-	renderTable1(w, RunSpecs(table1Specs(ps, n, k), 1))
-}
-
-// renderTable1 reassembles the Table 1 report from per-P measurement
-// columns.
 func renderTable1(w io.Writer, rs []Result) {
 	var cols []Table1Col
 	for _, r := range rs {

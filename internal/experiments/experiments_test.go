@@ -44,7 +44,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 
 func TestTable1Prints(t *testing.T) {
 	var buf bytes.Buffer
-	Table1(&buf, []int{4, 8}, 20000, 200)
+	renderTable1(&buf, RunSpecs(table1Specs([]int{4, 8}, 20000, 200), 1))
 	out := buf.String()
 	for _, want := range []string{"Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "OkTopk", "2n(P-1)/P"} {
 		if !strings.Contains(out, want) {

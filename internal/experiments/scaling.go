@@ -154,7 +154,6 @@ func WeakScaling(workload string, p, batch, iters int, density float64, algorith
 			Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
 			Wire:      wireMode,
 			Topology:  topoMode,
-			Overlap:   overlapMode,
 		}
 		s := train.NewSession(cfg)
 		const warm = 2

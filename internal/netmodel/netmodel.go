@@ -27,6 +27,12 @@
 // halves every β term relative to the f64 wire. The model itself is
 // representation-agnostic: it prices whatever word counts the callers
 // stamp.
+//
+// Every product that feeds an addition is wrapped in an explicit
+// float64 conversion. The Go spec lets a compiler fuse x*y+z into one
+// fused multiply-add, and arm64, ppc64le and s390x do; the conversion
+// forces the intermediate rounding, so modeled clocks are bit-identical
+// on every architecture. CI checks the assembly for fused instructions.
 package netmodel
 
 import "fmt"
@@ -140,10 +146,6 @@ type Clock struct {
 	recvMsgs  int64
 }
 
-// NewClock returns a zeroed clock with the given machine parameters,
-// positioned at rank 0 of the topology.
-func NewClock(p Params) *Clock { return NewRankClock(p, 0) }
-
 // NewRankClock returns a zeroed clock for the given rank. The rank
 // determines the clock's node under p.Topo and its straggler/jitter
 // draws; on the flat topology it is inert.
@@ -208,7 +210,7 @@ func (c *Clock) slowdown() float64 {
 		m = t.StragglerSlow
 	}
 	if t.Jitter > 0 {
-		m *= 1 + t.Jitter*t.JitterU(c.rank, c.step)
+		m *= 1 + float64(t.Jitter*t.JitterU(c.rank, c.step))
 	}
 	return m
 }
@@ -242,10 +244,10 @@ func (c *Clock) Compute(flops float64) {
 		panic("netmodel: negative flops")
 	}
 	if c.noisy {
-		c.advance(c.cpu + flops*c.params.Gamma*c.slowdown())
+		c.advance(c.cpu + float64(flops*c.params.Gamma*c.slowdown()))
 		return
 	}
-	c.advance(c.cpu + flops*c.params.Gamma)
+	c.advance(c.cpu + float64(flops*c.params.Gamma))
 }
 
 // Sleep charges a fixed amount of local time (used for modeled I/O and
@@ -255,56 +257,23 @@ func (c *Clock) Sleep(seconds float64) {
 		panic("netmodel: negative sleep")
 	}
 	if c.noisy {
-		c.advance(c.cpu + seconds*c.slowdown())
+		c.advance(c.cpu + float64(seconds*c.slowdown()))
 		return
 	}
 	c.advance(c.cpu + seconds)
 }
 
-// StampSend reserves the send NIC for a message of the given word count
-// and returns its departure time. The CPU advances to the injection start
-// (it does not wait for the message to finish streaming), so non-blocking
-// sends posted back-to-back overlap their transfers, while the NIC gap
-// serializes their bandwidth — exactly the behaviour the bucketing
-// optimization (§3.1.1) exploits.
-func (c *Clock) StampSend(words int) float64 {
-	if words < 0 {
-		panic("netmodel: negative message size")
-	}
-	depart := c.cpu
-	if c.sendFree > depart {
-		depart = c.sendFree
-	}
-	c.sendFree = depart + float64(words)*c.params.Beta
-	c.advance(depart)
-	c.sentWords += int64(words)
-	c.sentMsgs++
-	return depart
-}
-
-// StampRecv accounts delivery of a message that departed the sender at
-// depart with the given size, and blocks the CPU until delivery finishes.
-// Delivery occupies the receive NIC for β·words, so concurrent arrivals
-// at one rank serialize (endpoint congestion).
-func (c *Clock) StampRecv(depart float64, words int) {
-	if words < 0 {
-		panic("netmodel: negative message size")
-	}
-	start := depart + c.params.Alpha
-	if c.recvFree > start {
-		start = c.recvFree
-	}
-	done := start + float64(words)*c.params.Beta
-	c.recvFree = done
-	c.advance(done)
-	c.recvWords += int64(words)
-	c.recvMsgs++
-}
-
-// StampSendTo is the topology-aware send stamp: it prices the transfer
-// by the link between this rank and dst. On the flat topology (or with
-// no hierarchy configured) it is exactly StampSend — bit-identical by
-// delegation. With hierarchy active:
+// StampSendTo reserves the send NIC for a message of the given word
+// count to rank dst and returns its departure time. The CPU advances to
+// the injection start (it does not wait for the message to finish
+// streaming), so non-blocking sends posted back-to-back overlap their
+// transfers, while the NIC gap serializes their bandwidth — exactly the
+// behaviour the bucketing optimization (§3.1.1) exploits.
+//
+// The transfer streams at the β of the link between this rank and dst.
+// On the flat network every link is inter-node and unshared, so the
+// stamp is the classic depart = max(cpu, sendFree), sendFree' = depart
+// + β·words. With hierarchy active:
 //
 //   - intra-node transfers stream at β·IntraBetaFrac with no sharing
 //     (the node-local link is not the contended rail);
@@ -318,21 +287,19 @@ func (c *Clock) StampRecv(depart float64, words int) {
 //     on the same rail. Both terms are monotone: more sharers never
 //     speed a transfer up.
 func (c *Clock) StampSendTo(dst, words int) float64 {
-	if !c.hier {
-		return c.StampSend(words)
-	}
 	if words < 0 {
 		panic("netmodel: negative message size")
 	}
-	t := c.params.Topo
+	t := &c.params.Topo
 	depart := c.cpu
 	if c.sendFree > depart {
 		depart = c.sendFree
 	}
-	var beta float64
-	if t.SameNode(c.rank, dst) {
-		beta = t.intraBeta(c.params.Beta)
-	} else {
+	beta, intra := c.params.Beta, t.SameNode(c.rank, dst)
+	switch {
+	case intra:
+		beta = t.intraBeta(beta)
+	case c.hier:
 		// Prune completed transfers as of the CPU's post time, then
 		// count the survivors as backlog.
 		live := c.outSends[:0]
@@ -342,11 +309,10 @@ func (c *Clock) StampSendTo(dst, words int) float64 {
 			}
 		}
 		c.outSends = live
-		sharers := c.effRailUsers() - 1 + len(c.outSends)
-		beta = t.sharedBeta(c.params.Beta, sharers)
+		beta = t.sharedBeta(beta, c.effRailUsers()-1+len(c.outSends))
 	}
-	c.sendFree = depart + float64(words)*beta
-	if !t.SameNode(c.rank, dst) {
+	c.sendFree = depart + float64(float64(words)*beta)
+	if c.hier && !intra {
 		c.outSends = append(c.outSends, c.sendFree)
 	}
 	c.advance(depart)
@@ -355,33 +321,34 @@ func (c *Clock) StampSendTo(dst, words int) float64 {
 	return depart
 }
 
-// StampRecvFrom is the topology-aware receive stamp. Flat topologies
-// delegate to StampRecv exactly. With hierarchy active, intra-node
-// deliveries pay α·IntraAlphaFrac and β·IntraBetaFrac; inter-node
-// deliveries pay full α and the statically shared β (the receiver
-// cannot see the sender's dynamic backlog — that is priced at the send
-// side — but its own node neighbours contend for its rail too).
+// StampRecvFrom accounts delivery of a message from rank src that
+// departed at depart with the given size, and blocks the CPU until
+// delivery finishes: done = max(depart+α, recvFree) + β·words. Delivery
+// occupies the receive NIC for β·words, so concurrent arrivals at one
+// rank serialize (endpoint congestion). With hierarchy active,
+// intra-node deliveries pay α·IntraAlphaFrac and β·IntraBetaFrac;
+// inter-node deliveries pay full α and the statically shared β (the
+// receiver cannot see the sender's dynamic backlog — that is priced at
+// the send side — but its own node neighbours contend for its rail
+// too).
 func (c *Clock) StampRecvFrom(src int, depart float64, words int) {
-	if !c.hier {
-		c.StampRecv(depart, words)
-		return
-	}
 	if words < 0 {
 		panic("netmodel: negative message size")
 	}
-	t := c.params.Topo
+	t := &c.params.Topo
 	alpha, beta := c.params.Alpha, c.params.Beta
-	if t.SameNode(c.rank, src) {
+	switch {
+	case t.SameNode(c.rank, src):
 		alpha = t.intraAlpha(alpha)
 		beta = t.intraBeta(beta)
-	} else {
+	case c.hier:
 		beta = t.sharedBeta(beta, c.effRailUsers()-1)
 	}
 	start := depart + alpha
 	if c.recvFree > start {
 		start = c.recvFree
 	}
-	done := start + float64(words)*beta
+	done := start + float64(float64(words)*beta)
 	c.recvFree = done
 	c.advance(done)
 	c.recvWords += int64(words)
@@ -404,10 +371,10 @@ func (c *Clock) DrainSends() { c.advance(c.sendFree) }
 //   - the COMPUTE track (OverlapCompute / OverlapSleep) models the
 //     backward pass burning through its per-layer schedule; it never
 //     waits for communication;
-//   - the COMM track is the ordinary cpu/NIC machinery — StampSend,
-//     StampRecv and message-folding Compute charges advance it exactly
-//     as outside a window. OverlapReady pins it to the compute track
-//     before each issue: communication whose input a layer just
+//   - the COMM track is the ordinary cpu/NIC machinery — StampSendTo,
+//     StampRecvFrom and message-folding Compute charges advance it
+//     exactly as outside a window. OverlapReady pins it to the compute
+//     track before each issue: communication whose input a layer just
 //     produced cannot depart before that layer's backward finished.
 //
 // EndOverlap closes the window at T = max(compute, comm) and rewrites

@@ -10,7 +10,7 @@ func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 // TestOverlapCommHidden: communication that finishes strictly under the
 // compute track costs no wall time and leaves PhaseComm untouched.
 func TestOverlapCommHidden(t *testing.T) {
-	c := NewClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}, 0)
 	c.SetPhase(PhaseCompute)
 	c.Sleep(1)
 	c.BeginOverlap()
@@ -18,8 +18,8 @@ func TestOverlapCommHidden(t *testing.T) {
 	c.OverlapReady()
 	// A short transfer on the comm track, fully under the remaining
 	// compute: send 1000 words, receive 1000 words.
-	depart := c.StampSend(1000)
-	c.StampRecv(depart, 1000)
+	depart := c.StampSendTo(1, 1000)
+	c.StampRecvFrom(1, depart, 1000)
 	c.OverlapSleep(0.5)
 	c.EndOverlap()
 	s := c.Snapshot()
@@ -38,14 +38,14 @@ func TestOverlapCommHidden(t *testing.T) {
 // track charges exactly the remainder to PhaseComm.
 func TestOverlapExposedRemainder(t *testing.T) {
 	beta := 1e-3
-	c := NewClock(Params{Alpha: 0, Beta: beta, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 0, Beta: beta, Gamma: 1e-12}, 0)
 	c.SetPhase(PhaseCompute)
 	c.BeginOverlap()
 	c.OverlapSleep(0.1)
 	c.OverlapReady()
-	depart := c.StampSend(1000) // departs at 0.1
-	c.StampRecv(depart, 1000)   // delivered at 0.1 + 1.0
-	c.OverlapSleep(0.1)         // compute track ends at 0.2
+	depart := c.StampSendTo(1, 1000) // departs at 0.1
+	c.StampRecvFrom(1, depart, 1000) // delivered at 0.1 + 1.0
+	c.OverlapSleep(0.1)              // compute track ends at 0.2
 	c.EndOverlap()
 	s := c.Snapshot()
 	wantEnd := 0.1 + float64(1000)*beta
@@ -63,11 +63,11 @@ func TestOverlapExposedRemainder(t *testing.T) {
 // TestOverlapReadyPinsCommTrack: communication issued mid-window cannot
 // depart before the compute track produced its input.
 func TestOverlapReadyPinsCommTrack(t *testing.T) {
-	c := NewClock(Params{Alpha: 0, Beta: 1e-9, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 0, Beta: 1e-9, Gamma: 1e-12}, 0)
 	c.BeginOverlap()
 	c.OverlapSleep(0.25)
 	c.OverlapReady()
-	if depart := c.StampSend(1); depart < 0.25 {
+	if depart := c.StampSendTo(1, 1); depart < 0.25 {
 		t.Fatalf("message departed at %v, before its data existed (0.25)", depart)
 	}
 	c.EndOverlap()
@@ -78,14 +78,14 @@ func TestOverlapReadyPinsCommTrack(t *testing.T) {
 // relies on), whichever track finished last.
 func TestOverlapWindowConsistency(t *testing.T) {
 	for _, commWords := range []int{10, 100000000} {
-		c := NewClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12})
+		c := NewRankClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}, 0)
 		c.SetPhase(PhaseCompute)
 		c.Sleep(0.3)
 		c.BeginOverlap()
 		c.OverlapSleep(0.05)
 		c.OverlapReady()
-		depart := c.StampSend(commWords)
-		c.StampRecv(depart, commWords)
+		depart := c.StampSendTo(1, commWords)
+		c.StampRecvFrom(1, depart, commWords)
 		c.OverlapSleep(0.05)
 		c.EndOverlap()
 		s := c.Snapshot()
@@ -114,8 +114,8 @@ func TestOverlapWindowConsistencyStraggler(t *testing.T) {
 		c.BeginOverlap()
 		c.OverlapSleep(0.05)
 		c.OverlapReady()
-		depart := c.StampSend(commWords)
-		c.StampRecv(depart, commWords)
+		depart := c.StampSendTo(1, commWords)
+		c.StampRecvFrom(1, depart, commWords)
 		c.OverlapSleep(0.05)
 		c.EndOverlap()
 		s := c.Snapshot()
@@ -143,7 +143,7 @@ func TestOverlapMisusePanics(t *testing.T) {
 		}()
 		f()
 	}
-	c := NewClock(PizDaint())
+	c := NewRankClock(PizDaint(), 0)
 	expectPanic("EndOverlap", func() { c.EndOverlap() })
 	expectPanic("OverlapSleep", func() { c.OverlapSleep(1) })
 	expectPanic("OverlapReady", func() { c.OverlapReady() })

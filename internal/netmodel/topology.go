@@ -90,7 +90,7 @@ func (t Topology) sharedBeta(base float64, sharers int) float64 {
 	if sharers <= 0 || t.Share <= 0 {
 		return base
 	}
-	return base * (1 + t.Share*float64(sharers))
+	return base * (1 + float64(t.Share*float64(sharers)))
 }
 
 // Deterministic noise: FNV-1a over the little-endian bytes of the mixed
@@ -140,13 +140,10 @@ func (t Topology) slowdown(rank, step int) float64 {
 		m = t.StragglerSlow
 	}
 	if t.Jitter > 0 {
-		m *= 1 + t.Jitter*t.JitterU(rank, step)
+		m *= 1 + float64(t.Jitter*t.JitterU(rank, step))
 	}
 	return m
 }
-
-// TopologyPresets lists the named presets BuildTopology accepts.
-func TopologyPresets() []string { return []string{"flat", "fattree", "nvlink"} }
 
 // BuildTopology resolves a named preset into a Topology:
 //

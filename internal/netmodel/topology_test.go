@@ -17,35 +17,67 @@ func hierTopo() Topology {
 	return Topology{NodeSize: 4, IntraAlphaFrac: 0.25, IntraBetaFrac: 0.25, Share: 1}
 }
 
-// TestFlatDelegation: with no hierarchy configured, the topology-aware
-// stamps must be the flat stamps — bit-identical, not approximately —
-// because the flat fast path is what pins default output to the pre-
-// topology goldens. Straggler-only topologies (noisy but not
-// hierarchical) must delegate too.
+// TestFlatDelegation: with no hierarchy configured, the stamps must be
+// the classic flat α-β arithmetic — bit-identical, not approximately —
+// because that is what pins default output to the pre-topology goldens:
+//
+//	depart    = max(cpu, sendFree)
+//	sendFree' = depart + w·β
+//	done      = max(depart+α, recvFree) + w·β
+//
+// Peer identity must not matter, straggler-only topologies (noisy but
+// not hierarchical) and a rail-sharing factor without nodes must not
+// change a stamp, and a flat clock must never record the inter-node
+// backlog.
 func TestFlatDelegation(t *testing.T) {
 	for _, topo := range []Topology{
 		{},
 		{StragglerFrac: 0.25, StragglerSlow: 3, Jitter: 0.2, Seed: 99},
+		{Share: 1},
 	} {
-		flat := NewRankClock(PizDaint(), 2)
-		aware := NewRankClock(topoParams(topo), 2)
-		// Mirror an irregular stamp sequence on both clocks. The flat
-		// clock sees StampSend/StampRecv; the aware clock sees the *To
-		// variants with varying peers (peer identity must not matter
-		// without hierarchy).
+		p := topoParams(topo)
+		c := NewRankClock(p, 2)
+		c.SetRailUsers(4)
+		var cpu, sendFree, recvFree float64
+		send := func(dst, w int) {
+			t.Helper()
+			want := max(cpu, sendFree)
+			sendFree = want + float64(float64(w)*p.Beta)
+			cpu = want
+			if got := c.StampSendTo(dst, w); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("topo %+v: send %d words to %d departs %v, want %v", topo, w, dst, got, want)
+			}
+		}
+		recv := func(src int, depart float64, w int) {
+			t.Helper()
+			recvFree = max(depart+p.Alpha, recvFree) + float64(float64(w)*p.Beta)
+			cpu = max(cpu, recvFree)
+			c.StampRecvFrom(src, depart, w)
+			if math.Float64bits(c.Now()) != math.Float64bits(cpu) {
+				t.Fatalf("topo %+v: recv %d words from %d done at %v, want %v", topo, w, src, c.Now(), cpu)
+			}
+		}
+		// An irregular sequence: each send is followed by a receive of a
+		// message that departed somewhere around it, from varying peers.
 		words := []int{1, 1000, 7, 250000, 3}
 		for i, w := range words {
-			d1 := flat.StampSend(w)
-			d2 := aware.StampSendTo(i, w)
-			if math.Float64bits(d1) != math.Float64bits(d2) {
-				t.Fatalf("topo %+v: departure %d differs: %v vs %v", topo, i, d1, d2)
-			}
-			flat.StampRecv(d1, w)
-			aware.StampRecvFrom(i, d2, w)
-			if math.Float64bits(flat.Now()) != math.Float64bits(aware.Now()) {
-				t.Fatalf("topo %+v: clock diverged after recv %d: %v vs %v",
-					topo, i, flat.Now(), aware.Now())
-			}
+			send(i, w)
+			recv(i+3, cpu-float64(i)*1e-6, w)
+		}
+		// A burst of back-to-back sends, all still streaming.
+		for i := 0; i < 8; i++ {
+			send(7, 100000)
+		}
+		st := c.State()
+		if math.Float64bits(st.SendFree) != math.Float64bits(sendFree) ||
+			math.Float64bits(st.RecvFree) != math.Float64bits(recvFree) {
+			t.Fatalf("topo %+v: NIC state %v/%v, want %v/%v", topo, st.SendFree, st.RecvFree, sendFree, recvFree)
+		}
+		if st.OutSends != nil {
+			t.Fatalf("topo %+v: flat clock recorded a backlog %v", topo, st.OutSends)
+		}
+		if n := testing.AllocsPerRun(10, c.Reset); n != 0 {
+			t.Fatalf("topo %+v: Reset allocated %v times", topo, n)
 		}
 	}
 }
@@ -249,7 +281,7 @@ func TestClockStateTopologyRoundTrip(t *testing.T) {
 // TestBuildTopologyValidation: presets resolve, and the error paths
 // reject what the CLI must not accept.
 func TestBuildTopologyValidation(t *testing.T) {
-	for _, preset := range TopologyPresets() {
+	for _, preset := range []string{"", "flat", "fattree", "nvlink"} {
 		if _, err := BuildTopology(preset, 0, 0, 1); err != nil {
 			t.Fatalf("preset %s: %v", preset, err)
 		}

@@ -47,36 +47,6 @@ func (s *SGD) Apply(params, avgGrad []float64) {
 	}
 }
 
-// Momentum is SGD with classical momentum: v ← μv + g; w ← w − lr·v.
-type Momentum struct {
-	lr, mu float64
-	v      []float64
-}
-
-// NewMomentum returns a momentum optimizer.
-func NewMomentum(lr, mu float64) *Momentum { return &Momentum{lr: lr, mu: mu} }
-
-// Name identifies the rule.
-func (m *Momentum) Name() string { return "Momentum" }
-
-// LR returns the current learning rate.
-func (m *Momentum) LR() float64 { return m.lr }
-
-// SetLR sets the learning rate.
-func (m *Momentum) SetLR(lr float64) { m.lr = lr }
-
-// Apply performs the momentum step. Unlike plain SGD the velocity decays
-// every iteration for every coordinate, so the loop cannot skip zeros.
-func (m *Momentum) Apply(params, avgGrad []float64) {
-	if m.v == nil {
-		m.v = make([]float64, len(params))
-	}
-	for i, g := range avgGrad {
-		m.v[i] = m.mu*m.v[i] + g
-		params[i] -= m.lr * m.v[i]
-	}
-}
-
 // Adam implements Kingma & Ba with bias correction and decoupled weight
 // decay (the paper's BERT configuration: lr=2e-4, β1=0.9, β2=0.999,
 // weight decay 0.01, linear decay schedule applied by the caller).

@@ -24,6 +24,37 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
+// Momentum is SGD with classical momentum: v ← μv + g; w ← w − lr·v —
+// a reference rule the tests exercise the Optimizer interface with.
+type Momentum struct {
+	lr, mu float64
+	v      []float64
+}
+
+// NewMomentum returns a momentum optimizer.
+func NewMomentum(lr, mu float64) *Momentum { return &Momentum{lr: lr, mu: mu} }
+
+// Name identifies the rule.
+func (m *Momentum) Name() string { return "Momentum" }
+
+// LR returns the current learning rate.
+func (m *Momentum) LR() float64 { return m.lr }
+
+// SetLR sets the learning rate.
+func (m *Momentum) SetLR(lr float64) { m.lr = lr }
+
+// Apply performs the momentum step. Unlike plain SGD the velocity decays
+// every iteration for every coordinate, so the loop cannot skip zeros.
+func (m *Momentum) Apply(params, avgGrad []float64) {
+	if m.v == nil {
+		m.v = make([]float64, len(params))
+	}
+	for i, g := range avgGrad {
+		m.v[i] = m.mu*m.v[i] + g
+		params[i] -= m.lr * m.v[i]
+	}
+}
+
 func TestMomentumAccumulates(t *testing.T) {
 	m := NewMomentum(1.0, 0.5)
 	p := []float64{0}

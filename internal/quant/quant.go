@@ -84,7 +84,3 @@ func (q *Quantized) Dequantize() []float64 {
 	}
 	return out
 }
-
-// CompressionRatio returns the value-payload compression versus 64-bit
-// words (e.g. 16 for 4-bit quantization).
-func CompressionRatio(bits int) float64 { return 64 / float64(bits) }

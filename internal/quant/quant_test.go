@@ -57,9 +57,6 @@ func TestWordsAccounting(t *testing.T) {
 	if (&Quantized{Bits: 4}).Words() != 0 {
 		t.Fatal("empty block must be free")
 	}
-	if CompressionRatio(4) != 16 {
-		t.Fatal("ratio")
-	}
 }
 
 func TestZeroAndExtremes(t *testing.T) {

@@ -3,14 +3,12 @@
 // k nonzeros is stored as k (index, value) pairs and therefore occupies
 // 2k words on the wire. The package provides construction from dense
 // vectors, sorted merging with value accumulation (the reduction kernel
-// of every sparse allreduce), densification, intersection of index sets,
-// and the fill-in statistics used to reproduce the paper's §5.2 numbers.
+// of every sparse allreduce), densification and intersection of index
+// sets.
 package sparse
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -101,18 +99,6 @@ func (v *Vec) SetWire(idx []int32, vals []float64, vals32 []float32) {
 	copy(v.Values, vals)
 }
 
-// FromDense builds a sparse vector from the nonzero entries of d.
-func FromDense(d []float64) *Vec {
-	v := New(len(d))
-	for i, x := range d {
-		if x != 0 {
-			v.Indexes = append(v.Indexes, int32(i))
-			v.Values = append(v.Values, x)
-		}
-	}
-	return v
-}
-
 // FromDenseThreshold builds a sparse vector from entries of d whose
 // absolute value is at least th. This is the O(n) threshold-based
 // sparsification kernel the paper's selection strategy relies on.
@@ -160,33 +146,6 @@ func FromDenseThresholdInto(dst *Vec, d []float64, th float64) *Vec {
 		}
 	}
 	return dst
-}
-
-// FromPairs builds a sparse vector from possibly unsorted (index, value)
-// pairs, sorting and summing duplicates.
-func FromPairs(dim int, indexes []int32, values []float64) *Vec {
-	if len(indexes) != len(values) {
-		panic("sparse: FromPairs length mismatch")
-	}
-	type pair struct {
-		idx int32
-		val float64
-	}
-	ps := make([]pair, len(indexes))
-	for i := range indexes {
-		ps[i] = pair{indexes[i], values[i]}
-	}
-	slices.SortStableFunc(ps, func(a, b pair) int { return cmp.Compare(a.idx, b.idx) })
-	v := New(dim)
-	for _, p := range ps {
-		if n := len(v.Indexes); n > 0 && v.Indexes[n-1] == p.idx {
-			v.Values[n-1] += p.val
-		} else {
-			v.Indexes = append(v.Indexes, p.idx)
-			v.Values = append(v.Values, p.val)
-		}
-	}
-	return v
 }
 
 // Dense materializes v into a freshly allocated dense vector.
@@ -329,16 +288,11 @@ func (v *Vec) Slice(lo, hi int32) *Vec {
 	return out
 }
 
-// Intersect returns the sorted indexes present in both a and b. Ok-Topk
-// uses this to find which local top-k values contributed to the global
-// top-k result (Algorithm 1 line 14).
-func Intersect(a, b []int32) []int32 {
-	return AppendIntersect(nil, a, b)
-}
-
-// AppendIntersect is Intersect appending into dst (typically a reused
-// scratch slice sliced to length zero), so steady-state callers avoid
-// reallocating the intersection buffer every iteration.
+// AppendIntersect appends to dst the sorted indexes present in both a
+// and b. Ok-Topk uses this to find which local top-k values contributed
+// to the global top-k result (Algorithm 1 line 14). dst is typically a
+// reused scratch slice sliced to length zero, so steady-state callers
+// avoid reallocating the intersection buffer every iteration.
 func AppendIntersect(dst []int32, a, b []int32) []int32 {
 	out := dst
 	i, j := 0, 0
@@ -355,34 +309,4 @@ func AppendIntersect(dst []int32, a, b []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// FillInStats describes how much a sparse reduction densified: InputNNZ
-// is the per-worker input size k, OutputNNZ the nonzeros of the reduced
-// result, and ExpansionDensity the output density OutputNNZ/Dim — the
-// quantity the paper reports as 13.2% (VGG) and 34.5% (LSTM) for
-// TopkDSA/TopkA in §5.2.
-type FillInStats struct {
-	Dim              int
-	InputNNZ         int
-	OutputNNZ        int
-	ExpansionDensity float64
-}
-
-// MeasureFillIn reduces the inputs and reports the fill-in statistics.
-func MeasureFillIn(vs []*Vec) FillInStats {
-	if len(vs) == 0 {
-		return FillInStats{}
-	}
-	sum := Reduce(vs)
-	in := 0
-	for _, v := range vs {
-		in += v.NNZ()
-	}
-	return FillInStats{
-		Dim:              sum.Dim,
-		InputNNZ:         in / len(vs),
-		OutputNNZ:        sum.NNZ(),
-		ExpansionDensity: sum.Density(),
-	}
 }

@@ -1,16 +1,46 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// FromPairs builds a sparse vector from possibly unsorted (index, value)
+// pairs, sorting and summing duplicates; the tests construct fixtures
+// with it.
+func FromPairs(dim int, indexes []int32, values []float64) *Vec {
+	if len(indexes) != len(values) {
+		panic("sparse: FromPairs length mismatch")
+	}
+	type pair struct {
+		idx int32
+		val float64
+	}
+	ps := make([]pair, len(indexes))
+	for i := range indexes {
+		ps[i] = pair{indexes[i], values[i]}
+	}
+	slices.SortStableFunc(ps, func(a, b pair) int { return cmp.Compare(a.idx, b.idx) })
+	v := New(dim)
+	for _, p := range ps {
+		if n := len(v.Indexes); n > 0 && v.Indexes[n-1] == p.idx {
+			v.Values[n-1] += p.val
+		} else {
+			v.Indexes = append(v.Indexes, p.idx)
+			v.Values = append(v.Values, p.val)
+		}
+	}
+	return v
+}
+
 func TestFromDenseRoundTrip(t *testing.T) {
 	d := []float64{0, 1.5, 0, -2, 0, 0, 3}
-	v := FromDense(d)
+	v := FromDenseThreshold(d, 0)
 	if v.NNZ() != 3 {
 		t.Fatalf("nnz=%d", v.NNZ())
 	}
@@ -68,7 +98,7 @@ func TestAddMatchesDense(t *testing.T) {
 				db[i] = r.NormFloat64()
 			}
 		}
-		sum := Add(FromDense(da), FromDense(db))
+		sum := Add(FromDenseThreshold(da, 0), FromDenseThreshold(db, 0))
 		if err := sum.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +133,7 @@ func TestReduceMatchesDense(t *testing.T) {
 				want[i] += d[i]
 			}
 		}
-		vs[w] = FromDense(d)
+		vs[w] = FromDenseThreshold(d, 0)
 	}
 	got := Reduce(vs).Dense()
 	for i := range want {
@@ -114,7 +144,7 @@ func TestReduceMatchesDense(t *testing.T) {
 }
 
 func TestReduceSingleClones(t *testing.T) {
-	v := FromDense([]float64{1, 0, 2})
+	v := FromDenseThreshold([]float64{1, 0, 2}, 0)
 	out := Reduce([]*Vec{v})
 	out.Values[0] = 99
 	if v.Values[0] == 99 {
@@ -135,11 +165,11 @@ func TestSlice(t *testing.T) {
 }
 
 func TestIntersect(t *testing.T) {
-	got := Intersect([]int32{1, 3, 5, 7}, []int32{2, 3, 4, 5, 8})
+	got := AppendIntersect(nil, []int32{1, 3, 5, 7}, []int32{2, 3, 4, 5, 8})
 	if !reflect.DeepEqual(got, []int32{3, 5}) {
 		t.Fatalf("intersect %v", got)
 	}
-	if Intersect(nil, []int32{1}) != nil {
+	if AppendIntersect(nil, nil, []int32{1}) != nil {
 		t.Fatal("nil ∩ x must be nil")
 	}
 }
@@ -171,17 +201,14 @@ func TestMeasureFillIn(t *testing.T) {
 		for j := 0; j < 10; j++ {
 			d[w*100+j] = 1
 		}
-		vs = append(vs, FromDense(d))
+		vs = append(vs, FromDenseThreshold(d, 0))
 	}
-	st := MeasureFillIn(vs)
-	if st.InputNNZ != 10 || st.OutputNNZ != 40 {
-		t.Fatalf("fill-in stats %+v", st)
+	sum := Reduce(vs)
+	if sum.NNZ() != 40 {
+		t.Fatalf("fill-in nnz %d, want 40", sum.NNZ())
 	}
-	if math.Abs(st.ExpansionDensity-0.04) > 1e-12 {
-		t.Fatalf("density %v", st.ExpansionDensity)
-	}
-	if got := MeasureFillIn(nil); got.Dim != 0 {
-		t.Fatalf("empty fill-in %+v", got)
+	if math.Abs(sum.Density()-0.04) > 1e-12 {
+		t.Fatalf("density %v", sum.Density())
 	}
 }
 
@@ -214,7 +241,7 @@ func TestAddCommutativeProperty(t *testing.T) {
 					d[i] = r.NormFloat64()
 				}
 			}
-			return FromDense(d)
+			return FromDenseThreshold(d, 0)
 		}
 		a, b := mk(ra), mk(rb)
 		ab, ba := Add(a, b), Add(b, a)
@@ -240,7 +267,7 @@ func TestSlicePartitionProperty(t *testing.T) {
 				d[i] = r.NormFloat64()
 			}
 		}
-		v := FromDense(d)
+		v := FromDenseThreshold(d, 0)
 		p := int(cuts%7) + 1
 		var rebuilt []int32
 		var vals []float64

@@ -87,7 +87,7 @@ func TestReduceMultiWayMatchesPairwise(t *testing.T) {
 			for j := 0; j < 30; j++ {
 				d[r.Intn(len(d))] = float64(1 + r.Intn(9))
 			}
-			vs[i] = FromDense(d)
+			vs[i] = FromDenseThreshold(d, 0)
 		}
 		want := vs[0].Clone()
 		for _, v := range vs[1:] {

@@ -207,8 +207,7 @@ type TopkA struct {
 // NewTopkA returns a TopkA instance for one worker.
 func NewTopkA(cfg allreduce.Config) *TopkA { return &TopkA{cfg: cfg.Defaults()} }
 
-func (*TopkA) Name() string           { return "TopkA" }
-func (*TopkA) OverlapsBackward() bool { return false }
+func (*TopkA) Name() string { return "TopkA" }
 
 // Reduce gathers all workers' exact top-k chunks and sums them locally.
 func (a *TopkA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Result {
@@ -242,8 +241,7 @@ func NewGaussiank(cfg allreduce.Config) *Gaussiank {
 	return &Gaussiank{cfg: cfg.Defaults(), Adjust: true}
 }
 
-func (*Gaussiank) Name() string           { return "Gaussiank" }
-func (*Gaussiank) OverlapsBackward() bool { return false }
+func (*Gaussiank) Name() string { return "Gaussiank" }
 
 // EstimateCount returns how many values the raw Gaussian threshold would
 // select — the quantity Figure 6 plots for Gaussiank.
@@ -302,8 +300,7 @@ type TopkDSA struct {
 // NewTopkDSA returns a TopkDSA instance for one worker.
 func NewTopkDSA(cfg allreduce.Config) *TopkDSA { return &TopkDSA{cfg: cfg.Defaults()} }
 
-func (*TopkDSA) Name() string           { return "TopkDSA" }
-func (*TopkDSA) OverlapsBackward() bool { return false }
+func (*TopkDSA) Name() string { return "TopkDSA" }
 
 // Pool exposes the halving-payload pool for the ownership property
 // tests.
@@ -442,8 +439,7 @@ type idxVal struct {
 // NewGTopk returns a gTopk instance for one worker.
 func NewGTopk(cfg allreduce.Config) *GTopk { return &GTopk{cfg: cfg.Defaults()} }
 
-func (*GTopk) Name() string           { return "gTopk" }
-func (*GTopk) OverlapsBackward() bool { return false }
+func (*GTopk) Name() string { return "gTopk" }
 
 // Pool exposes the tree-payload pool for the ownership property tests.
 func (g *GTopk) Pool() *sparse.Pool { return &g.pool }

@@ -319,9 +319,9 @@ func TestFillInExpansion(t *testing.T) {
 // TestTruncTopk covers the tie-trimming path: with more-than-k equal
 // magnitudes the result is trimmed to exactly k, sorted by index.
 func TestTruncTopk(t *testing.T) {
-	v := sparse.FromPairs(100,
-		[]int32{5, 10, 15, 20, 25, 30},
-		[]float64{1, -1, 1, 1, -1, 1})
+	v := &sparse.Vec{Dim: 100,
+		Indexes: []int32{5, 10, 15, 20, 25, 30},
+		Values:  []float64{1, -1, 1, 1, -1, 1}}
 	g := NewGTopk(allreduce.Config{})
 	out := g.truncTopk(v, 3)
 	if out.NNZ() != 3 {

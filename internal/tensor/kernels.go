@@ -46,7 +46,7 @@ func axpyTo(y []float64, a float64, x []float64) {
 	}
 }
 
-// dot4 is the 4-accumulator unrolled inner product used by GemmTB. The
+// dot4 is the 4-accumulator unrolled inner product used by MatMulTB. The
 // four partial sums break the add dependency chain; the summation order
 // is fixed, so every caller sees the same rounding.
 func dot4(x, y []float64) float64 {
@@ -131,23 +131,6 @@ func GemmTA(a, b, c *Mat) {
 					continue
 				}
 				axpyTo(c.Row(lo+ii), av, brow)
-			}
-		}
-	})
-}
-
-// GemmTB computes C += A * Bᵀ where A is (M×K), B is (N×K), C is (M×N).
-func GemmTB(a, b, c *Mat) {
-	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
-		panic("tensor: gemmTB shape mismatch")
-	}
-	grain := GrainFor(2 * a.Cols * b.Rows)
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				crow[j] += dot4(arow, b.Row(j))
 			}
 		}
 	})

@@ -93,11 +93,6 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 			GemmTA(a, b, c)
 			return c
 		}},
-		{"GemmTB", func() *Mat {
-			a, b, c := randMat(11, 37, 29), randMat(12, 41, 29), randMat(13, 37, 41)
-			GemmTB(a, b, c)
-			return c
-		}},
 		{"MatMulBias", func() *Mat {
 			a, b, c := randMat(14, 37, 29), randMat(15, 29, 41), NewMat(37, 41)
 			bias := make([]float64, 41)

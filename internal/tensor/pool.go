@@ -12,7 +12,7 @@ import (
 // blocks and every index is processed by exactly one block, so a kernel
 // whose per-index computation does not depend on the partition produces
 // bit-identical results at any worker count. All kernels in this package
-// (MatMul, Gemm, GemmTA, GemmTB and the nn loops built on ParallelFor)
+// (MatMul, Gemm, GemmTA, MatMulTB and the nn loops built on ParallelFor)
 // are written row-owned in exactly that way: each output row receives
 // its floating-point additions in the same order regardless of how rows
 // are grouped into blocks.

@@ -1,7 +1,7 @@
 // Package tensor provides the dense compute kernels used by the
 // neural-network substrate and the sparse-allreduce algorithms: seeded
-// random number generation, vector arithmetic (axpy, scale, dot) and
-// matrix multiplies (MatMul, Gemm, GemmTA, GemmTB) parallelized over a
+// random number generation, vector arithmetic (axpy, scale-add, dot) and
+// matrix multiplies (MatMul, Gemm, GemmTA, MatMulTB) parallelized over a
 // shared worker pool with deterministic row-block ownership — results
 // are bit-identical at any worker count (SetWorkers). Everything
 // operates on []float64 and plain row-major matrices; there is
@@ -21,9 +21,6 @@ import (
 func RNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
-
-// Zeros returns a freshly allocated zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
 
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
@@ -45,13 +42,6 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d != %d", len(x), len(y)))
 	}
 	axpyTo(y, a, x)
-}
-
-// Scale multiplies every element of x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
 }
 
 // Add computes z = x + y into z. All three must have equal length.
@@ -85,17 +75,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AbsMax returns the largest absolute value in x (0 for empty x).
-func AbsMax(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Mean returns the arithmetic mean of x (0 for empty x).
 func Mean(x []float64) float64 {
 	if len(x) == 0 {
@@ -106,40 +85,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// MeanStdAbs returns mean and standard deviation of |x_i|. Gaussiank uses
-// the statistics of absolute values to fit its threshold.
-func MeanStdAbs(x []float64) (mean, std float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	mean = s / float64(len(x))
-	var q float64
-	for _, v := range x {
-		d := math.Abs(v) - mean
-		q += d * d
-	}
-	std = math.Sqrt(q / float64(len(x)))
-	return mean, std
 }
 
 // Mat is a dense row-major matrix.

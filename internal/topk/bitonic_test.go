@@ -8,6 +8,130 @@ import (
 	"testing/quick"
 )
 
+// Reference selectors: the alternative top-k algorithms the paper
+// surveys in §2 when motivating threshold reuse — the bitonic top-k of
+// Shanbhag et al. (GPU-friendly, O(n·log²k) comparisons) and a
+// sampling-based threshold estimator. Production selects with exact
+// quickselect (Threshold); these independent implementations
+// cross-check it, and BenchmarkBitonicTopk compares their costs.
+
+// bitonicSortDesc sorts a (power-of-two length) slice descending with a
+// bitonic sorting network — the data-independent comparison pattern that
+// makes the algorithm GPU-friendly. Comparisons is incremented per
+// compare-exchange so cost models can charge the true network size.
+func bitonicSortDesc(a []float64, comparisons *int) {
+	n := len(a)
+	if n&(n-1) != 0 {
+		panic("topk: bitonic sort needs power-of-two length")
+	}
+	for size := 2; size <= n; size *= 2 {
+		for stride := size / 2; stride >= 1; stride /= 2 {
+			for i := 0; i < n; i++ {
+				j := i | stride
+				if j == i || j >= n {
+					continue
+				}
+				*comparisons++
+				// Direction: descending when the size-block index is even.
+				if (i&size == 0) == (a[i] < a[j]) {
+					a[i], a[j] = a[j], a[i]
+				}
+			}
+		}
+	}
+}
+
+// bitonicMergeDesc merges a descending-sorted array of power-of-two
+// length into descending order after its halves were made bitonic.
+func bitonicMergeDesc(a []float64, comparisons *int) {
+	n := len(a)
+	for stride := n / 2; stride >= 1; stride /= 2 {
+		for i := 0; i < n; i++ {
+			j := i | stride
+			if j == i || j >= n {
+				continue
+			}
+			*comparisons++
+			if a[i] < a[j] {
+				a[i], a[j] = a[j], a[i]
+			}
+		}
+	}
+}
+
+// BitonicThreshold computes the exact k-th largest |x_i| with the
+// chunked bitonic top-k algorithm: maintain a descending buffer of the
+// current top-k; for each chunk of k elements, sort it bitonically,
+// concatenate with the buffer (forming a bitonic sequence after
+// reversal) and bitonic-merge, keeping the top half. Returns the
+// threshold and the number of compare-exchanges performed (≈n·log²(2k)).
+func BitonicThreshold(x []float64, k int) (float64, int) {
+	if len(x) == 0 || k <= 0 {
+		return math.Inf(1), 0
+	}
+	if k > len(x) {
+		k = len(x)
+	}
+	// Round the buffer up to a power of two; pad with -inf.
+	bk := 1
+	for bk < k {
+		bk *= 2
+	}
+	comparisons := 0
+	buf := make([]float64, bk)
+	for i := range buf {
+		buf[i] = math.Inf(-1)
+	}
+	chunk := make([]float64, bk)
+	merged := make([]float64, 2*bk)
+	for off := 0; off < len(x); off += bk {
+		for i := 0; i < bk; i++ {
+			if off+i < len(x) {
+				chunk[i] = math.Abs(x[off+i])
+			} else {
+				chunk[i] = math.Inf(-1)
+			}
+		}
+		bitonicSortDesc(chunk, &comparisons)
+		// buf is descending, chunk is descending; reversing chunk makes
+		// [buf, reverse(chunk)] bitonic, so one merge suffices.
+		copy(merged[:bk], buf)
+		for i := 0; i < bk; i++ {
+			merged[bk+i] = chunk[bk-1-i]
+		}
+		bitonicMergeDesc(merged, &comparisons)
+		copy(buf, merged[:bk])
+	}
+	return buf[k-1], comparisons
+}
+
+// SampledThreshold estimates the top-k threshold from a uniform random
+// sample: it computes the exact threshold of the sample at the scaled
+// rank k·(sample/n). Cheap (O(sample) work) but biased by sampling
+// noise, which the repository's benches quantify against the exact and
+// Gaussian estimators.
+func SampledThreshold(r *rand.Rand, x []float64, k, sampleSize int) float64 {
+	n := len(x)
+	if n == 0 || k <= 0 {
+		return math.Inf(1)
+	}
+	if sampleSize >= n {
+		return Threshold(x, k)
+	}
+	if sampleSize < 1 {
+		sampleSize = 1
+	}
+	sample := make([]float64, sampleSize)
+	for i := range sample {
+		sample[i] = x[r.Intn(n)]
+	}
+	ks := int(math.Round(float64(k) * float64(sampleSize) / float64(n)))
+	if ks < 1 {
+		ks = 1
+	}
+	return Threshold(sample, ks)
+}
+
 func TestBitonicSortDesc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 64, 256} {
@@ -137,4 +261,30 @@ func TestBitonicProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkBitonicTopk compares the GPU-friendly bitonic selection
+// against quickselect (the §2 trade-off behind threshold reuse).
+func BenchmarkBitonicTopk(b *testing.B) {
+	r := rand.New(rand.NewSource(13))
+	x := make([]float64, 1<<18)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	b.Run("bitonic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BitonicThreshold(x, 1024)
+		}
+	})
+	b.Run("quickselect", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Threshold(x, 1024)
+		}
+	})
+	b.Run("sampled", func(b *testing.B) {
+		rr := rand.New(rand.NewSource(14))
+		for i := 0; i < b.N; i++ {
+			SampledThreshold(rr, x, 1024, 1<<14)
+		}
+	})
 }

@@ -72,7 +72,8 @@ func TestSelectIndexesCount(t *testing.T) {
 		x[i] = r.NormFloat64()
 	}
 	k := 50
-	idx := SelectIndexes(x, k)
+	th := Threshold(x, k)
+	idx := AppendSelectByThreshold(nil, x, th)
 	// Continuous values: ties have measure zero, expect exactly k.
 	if len(idx) != k {
 		t.Fatalf("selected %d, want %d", len(idx), k)
@@ -80,7 +81,6 @@ func TestSelectIndexesCount(t *testing.T) {
 	if !sort.SliceIsSorted(idx, func(a, b int) bool { return idx[a] < idx[b] }) {
 		t.Fatal("indexes not sorted")
 	}
-	th := Threshold(x, k)
 	for _, i := range idx {
 		if math.Abs(x[i]) < th {
 			t.Fatalf("index %d below threshold", i)
@@ -233,13 +233,13 @@ func TestThresholdProperty(t *testing.T) {
 	}
 }
 
-// Property: SelectByThreshold count equals CountAbove for all thresholds.
+// Property: AppendSelectByThreshold count equals CountAbove for all thresholds.
 func TestSelectCountConsistencyProperty(t *testing.T) {
 	f := func(vals []float64, th float64) bool {
 		if math.IsNaN(th) {
 			return true
 		}
-		return len(SelectByThreshold(vals, math.Abs(th))) == CountAbove(vals, math.Abs(th))
+		return len(AppendSelectByThreshold(nil, vals, math.Abs(th))) == CountAbove(vals, math.Abs(th))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
