@@ -97,21 +97,21 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFigure4 measures the threshold-prediction experiment.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure4("VGG", 0.02, 8, 12)
+		experiments.Figure4(experiments.Env{}, "VGG", 0.02, 8, 12)
 	}
 }
 
 // BenchmarkFigure5 measures the ξ-estimation experiment.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure5("VGG", []float64{0.02}, 4, 8, 4)
+		experiments.Figure5(experiments.Env{}, "VGG", []float64{0.02}, 4, 8, 4)
 	}
 }
 
 // BenchmarkFigure6 measures the selection-count experiment.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure6("VGG", 0.02, 4, 8, 4, 8)
+		experiments.Figure6(experiments.Env{}, "VGG", 0.02, 4, 8, 4, 8)
 	}
 }
 
@@ -120,7 +120,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var rs []experiments.LoadBalanceResult
 	for i := 0; i < b.N; i++ {
-		rs = experiments.Figure7([]int{16}, 100000, 0.01)
+		rs = experiments.Figure7(experiments.Env{}, []int{16}, 100000, 0.01)
 	}
 	b.ReportMetric(rs[0].ReduceSpeedup, "reduce-speedup")
 	b.ReportMetric(rs[0].AllgatherSpeedup, "allgatherv-speedup")
@@ -131,7 +131,7 @@ func BenchmarkFigure7(b *testing.B) {
 func weakScalingBench(b *testing.B, workload string, p, batch int, density float64) {
 	var bs []experiments.Breakdown
 	for i := 0; i < b.N; i++ {
-		bs = experiments.WeakScaling(workload, p, batch, 5, density, nil)
+		bs = experiments.WeakScaling(experiments.Env{}, workload, p, batch, 5, density, nil)
 	}
 	var ok, dense experiments.Breakdown
 	for _, br := range bs {
@@ -160,7 +160,7 @@ func BenchmarkFigure8(b *testing.B) {
 // the simulated overlap engine's hidden-fraction signal end to end.
 func BenchmarkOverlapAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.OverlapAblation("VGG", 8, 16, 5, []int{1, 8})
+		pts := experiments.OverlapAblation(experiments.Env{}, "VGG", 8, 16, 5, []int{1, 8})
 		if len(pts) > 0 {
 			b.ReportMetric(pts[len(pts)-1].HiddenFrac*100, "hidden-%")
 			b.ReportMetric(pts[len(pts)-1].ExposedComm*1e3, "exposed-sim-ms")
@@ -191,7 +191,7 @@ func BenchmarkFigure12(b *testing.B) {
 func convergenceBench(b *testing.B, workload string, algos []string, density float64) {
 	var curves []experiments.Curve
 	for i := 0; i < b.N; i++ {
-		curves = experiments.Convergence(experiments.ConvergenceConfig{
+		curves = experiments.Convergence(experiments.Env{}, experiments.ConvergenceConfig{
 			Workload: workload, Algorithms: algos,
 			P: 4, Batch: 4, Iters: 24, EvalEvery: 12, EvalSize: 64,
 			Density: density,

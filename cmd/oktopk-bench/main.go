@@ -29,6 +29,10 @@
 //
 // The default scale finishes in minutes on a laptop; -full uses the
 // paper's cluster sizes and longer runs.
+//
+// -full, -wire, -trace, -transport and the topology flags build one
+// experiments.Env before anything runs; every runner receives it, and
+// no experiment reads any other run setting.
 package main
 
 import (
@@ -72,13 +76,6 @@ var (
 		"straggler severity s: ~12.5% of ranks compute (1+s)x slower with 0.1*s jitter, seeded deterministically (0 = off)")
 )
 
-func scale() experiments.Scale {
-	if *full {
-		return experiments.FullScale()
-	}
-	return experiments.QuickScale()
-}
-
 func main() {
 	worker.ExitIfWorker()
 	flag.Usage = func() {
@@ -93,50 +90,10 @@ func main() {
 		profiling.Exit(2)
 	}
 	tensor.SetWorkers(*workers)
-	w, err := cluster.ParseWire(*wire)
+	env, err := buildEnv()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(2)
-	}
-	experiments.SetWire(w)
-	topo, err := netmodel.BuildTopology(*topology, *nodeSize, *straggler,
-		experiments.SeedFor("topology", *topology))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-	experiments.SetTopology(topo)
-	experiments.SetTraceDir(*traceDir)
-	tk, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-	experiments.SetTransport(tk)
-	if tk == cluster.TransportTCP {
-		timeoutSec := 300.0
-		if *netTimeout > 0 {
-			timeoutSec = netTimeout.Seconds()
-		}
-		experiments.SetTCPTrainRunner(func(cfg train.Config, iters int) (experiments.TCPTrainResult, error) {
-			out, err := worker.Launch(worker.Job{
-				Kind: "train", Size: cfg.P, Wire: cfg.Wire, TimeoutSec: timeoutSec,
-				Train: &worker.TrainJob{Config: cfg, Iters: iters},
-			}, worker.LaunchOptions{})
-			if err != nil {
-				return experiments.TCPTrainResult{}, err
-			}
-			if out.Train == nil {
-				return experiments.TCPTrainResult{}, fmt.Errorf("worker: rank 0 produced no train report")
-			}
-			return experiments.TCPTrainResult{
-				SimSeconds: out.Train.SimSeconds,
-				Loss:       out.Train.Loss,
-				Metric:     out.Train.Metric,
-				MetricName: out.Train.MetricName,
-				Wall:       out.Wall,
-			}, nil
-		})
 	}
 	id := flag.Arg(0)
 	switch id {
@@ -146,26 +103,77 @@ func main() {
 		}
 		return
 	case "all":
-		profiling.Exit(run(experiments.Registry()))
+		profiling.Exit(run(env, experiments.Registry()))
 	}
 	r, ok := experiments.FindRunner(id)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try `oktopk-bench list`)\n", id)
 		profiling.Exit(2)
 	}
-	profiling.Exit(run([]experiments.Runner{r}))
+	profiling.Exit(run(env, []experiments.Runner{r}))
+}
+
+// buildEnv turns the flags into the one run environment every runner
+// reads.
+func buildEnv() (experiments.Env, error) {
+	env := experiments.Env{Scale: experiments.QuickScale(), TraceDir: *traceDir}
+	if *full {
+		env.Scale = experiments.FullScale()
+	}
+	var err error
+	if env.Wire, err = cluster.ParseWire(*wire); err != nil {
+		return env, err
+	}
+	env.Topology, err = netmodel.BuildTopology(*topology, *nodeSize, *straggler,
+		experiments.SeedFor("topology", *topology))
+	if err != nil {
+		return env, err
+	}
+	tk, err := cluster.ParseTransport(*transport)
+	if err != nil {
+		return env, err
+	}
+	if tk == cluster.TransportTCP {
+		env.TCPTrain = launchTrain
+	}
+	return env, nil
+}
+
+// launchTrain trains cfg for iters iterations as one worker process per
+// rank over a TCP mesh and reports rank 0's summary.
+func launchTrain(cfg train.Config, iters int) (experiments.TCPTrainResult, error) {
+	timeoutSec := 300.0
+	if *netTimeout > 0 {
+		timeoutSec = netTimeout.Seconds()
+	}
+	out, err := worker.Launch(worker.Job{
+		Kind: "train", Size: cfg.P, Wire: cfg.Wire, TimeoutSec: timeoutSec,
+		Train: &worker.TrainJob{Config: cfg, Iters: iters},
+	}, worker.LaunchOptions{})
+	if err != nil {
+		return experiments.TCPTrainResult{}, err
+	}
+	if out.Train == nil {
+		return experiments.TCPTrainResult{}, fmt.Errorf("worker: rank 0 produced no train report")
+	}
+	return experiments.TCPTrainResult{
+		SimSeconds: out.Train.SimSeconds,
+		Loss:       out.Train.Loss,
+		Metric:     out.Train.Metric,
+		MetricName: out.Train.MetricName,
+		Wall:       out.Wall,
+	}, nil
 }
 
 // run expands the runners into one flat spec list — so configurations
 // from different figures share the worker pool — executes it, renders
 // each runner's report in registry order, and emits the aggregated
 // CSV/markdown when -out is set. Returns the process exit code.
-func run(runners []experiments.Runner) int {
-	sc := scale()
+func run(env experiments.Env, runners []experiments.Runner) int {
 	var specs []experiments.Spec
 	counts := make([]int, len(runners))
 	for i, r := range runners {
-		s := r.Specs(sc)
+		s := r.Specs(env)
 		counts[i] = len(s)
 		specs = append(specs, s...)
 	}

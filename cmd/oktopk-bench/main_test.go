@@ -42,7 +42,7 @@ func TestFullFlagChangesScale(t *testing.T) {
 		t.Errorf("full scale should train longer: %d vs %d", quick.ConvIters, fullSc.ConvIters)
 	}
 	for _, r := range experiments.Registry() {
-		if len(r.Specs(quick)) == 0 || len(r.Specs(fullSc)) == 0 {
+		if len(r.Specs(experiments.Env{Scale: quick})) == 0 || len(r.Specs(experiments.Env{Scale: fullSc})) == 0 {
 			t.Errorf("runner %q expands to no specs", r.ID)
 		}
 	}
@@ -55,7 +55,7 @@ func TestTable2Runs(t *testing.T) {
 	if !ok {
 		t.Fatal("table2 not registered")
 	}
-	results := experiments.RunSpecs(r.Specs(experiments.QuickScale()), 2)
+	results := experiments.RunSpecs(r.Specs(experiments.Env{Scale: experiments.QuickScale()}), 2)
 	var buf bytes.Buffer
 	r.Render(&buf, results)
 	if !strings.Contains(buf.String(), "VGG-16") {

@@ -43,7 +43,7 @@ type ConvergenceConfig struct {
 // algorithm and records metric-vs-modeled-time curves. The learning-rate
 // schedule follows the paper: step decay for SGD workloads, linear decay
 // for the Adam/BERT workload.
-func Convergence(cfg ConvergenceConfig) []Curve {
+func Convergence(env Env, cfg ConvergenceConfig) []Curve {
 	if cfg.EvalEvery == 0 {
 		cfg.EvalEvery = cfg.Iters / 10
 	}
@@ -66,8 +66,6 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 			LR:        base,
 			Adam:      adam,
 			Reduce:    allreduce.Config{Density: cfg.Density, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
 		}
 		if adam {
 			tcfg.Schedule = func(t int) float64 {
@@ -78,7 +76,7 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 				return optimizer.StepDecay(base, t, cfg.Iters, 0.5, 0.8)
 			}
 		}
-		s := train.NewSession(tcfg)
+		s := train.NewSession(env.config(tcfg))
 		curve := Curve{Workload: cfg.Workload, Algorithm: algo, Metric: s.MetricName()}
 		var elapsed float64
 		var lastLoss float64
@@ -96,7 +94,7 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 		for it := 1; it < cfg.Iters; it++ {
 			step(it)
 		}
-		traceFinalIteration(s, fmt.Sprintf("conv_%s_%s_P%d", cfg.Workload, algo, cfg.P), func() {
+		traceFinalIteration(env.TraceDir, s, fmt.Sprintf("conv_%s_%s_P%d", cfg.Workload, algo, cfg.P), func() {
 			step(cfg.Iters)
 		})
 		curve.Final = curve.Points[len(curve.Points)-1]

@@ -11,36 +11,11 @@ import (
 	"repro/internal/allreduce"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/netmodel"
 	"repro/internal/sparsecoll"
 	"repro/internal/tensor"
 	"repro/internal/topk"
 	"repro/internal/train"
 )
-
-// wireMode is the wire format every experiment cluster is built with.
-// It is set once, before any specs run (the -wire flag on
-// cmd/oktopk-bench), and only read afterwards, so the parallel
-// scheduler's specs can share it without synchronization. Runs in the
-// two modes produce paired rows for the fidelity comparison in
-// EXPERIMENTS.md.
-var wireMode = cluster.WireF64
-
-// SetWire selects the wire format for subsequently built experiment
-// clusters. Call it before RunSpecs, never concurrently with one.
-func SetWire(w cluster.Wire) { wireMode = w }
-
-// topoMode is the network topology every experiment cluster is built
-// with. Like wireMode it is set once before any specs run (the
-// -topology/-node-size/-straggler flags on cmd/oktopk-bench) and only
-// read afterwards. The zero value is the flat network, which keeps
-// every runner byte-identical to the pre-topology behavior (the golden
-// test in topo_test.go pins this).
-var topoMode netmodel.Topology
-
-// SetTopology selects the topology for subsequently built experiment
-// clusters. Call it before RunSpecs, never concurrently with one.
-func SetTopology(t netmodel.Topology) { topoMode = t }
 
 // SyntheticGradients builds P gradient vectors of size n with realistic
 // heavy-tailed values: a near-zero Gaussian bulk plus `heavy` large
@@ -156,24 +131,22 @@ func log2f(p int) float64 {
 // MeasureVolume runs two steady-state iterations of the named algorithm
 // on synthetic gradients and returns the mean per-rank words sent in the
 // second iteration.
-func MeasureVolume(name string, p, n, k int) float64 {
-	mean, _ := MeasureVolumeStats(name, p, n, k)
+func MeasureVolume(env Env, name string, p, n, k int) float64 {
+	mean, _ := MeasureVolumeStats(env, name, p, n, k)
 	return mean
 }
 
 // MeasureVolumeStats additionally returns the busiest rank's sent words —
 // the quantity that exposes tree roots (gTopk) and unbalanced endpoints,
 // which per-rank means average away.
-func MeasureVolumeStats(name string, p, n, k int) (mean, max float64) {
+func MeasureVolumeStats(env Env, name string, p, n, k int) (mean, max float64) {
 	grads := SyntheticGradients(42, p, n, k, 0.3)
 	cfg := allreduce.Config{K: k, TauPrime: 2, Tau: 2}
 	algos := make([]allreduce.Algorithm, p)
 	for i := range algos {
 		algos[i] = train.NewAlgorithm(name, cfg)
 	}
-	params := netmodel.PizDaint()
-	params.Topo = topoMode
-	c := cluster.NewWire(p, params, wireMode)
+	c := env.cluster(p)
 	for it := 1; it <= 2; it++ {
 		if it == 2 {
 			c.ResetClocks()
@@ -245,7 +218,7 @@ type ThresholdSnapshot struct {
 
 // Figure4 trains the workload briefly and captures the threshold
 // comparison at an iteration deep into a reuse window.
-func Figure4(workload string, density float64, tauPrime, sampleIter int) ThresholdSnapshot {
+func Figure4(env Env, workload string, density float64, tauPrime, sampleIter int) ThresholdSnapshot {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "OkTopk",
@@ -255,11 +228,9 @@ func Figure4(workload string, density float64, tauPrime, sampleIter int) Thresho
 		LR:        lrFor(workload),
 		Adam:      workload == "BERT",
 		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      wireMode,
-		Topology:  topoMode,
 	}
 	cfg.CaptureAcc = true
-	s := train.NewSession(cfg)
+	s := train.NewSession(env.config(cfg))
 	snap := ThresholdSnapshot{Workload: workload}
 	k := cfg.Reduce.KFor(s.N())
 	var curve []float64
@@ -356,7 +327,7 @@ type XiSeries struct {
 }
 
 // Figure5 measures ξ during short training runs.
-func Figure5(workload string, densities []float64, p, iters, sampleEvery int) XiSeries {
+func Figure5(env Env, workload string, densities []float64, p, iters, sampleEvery int) XiSeries {
 	out := XiSeries{Workload: workload, Densities: densities}
 	for di, d := range densities {
 		cfg := train.Config{
@@ -368,11 +339,9 @@ func Figure5(workload string, densities []float64, p, iters, sampleEvery int) Xi
 			LR:        lrFor(workload),
 			Adam:      workload == "BERT",
 			Reduce:    allreduce.Config{Density: d, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
 		}
 		cfg.CaptureAcc = true
-		s := train.NewSession(cfg)
+		s := train.NewSession(env.config(cfg))
 		k := cfg.Reduce.KFor(s.N())
 		var series []float64
 		for it := 1; it <= iters; it++ {
@@ -427,7 +396,7 @@ type SelectionSeries struct {
 
 // Figure6 tracks Ok-Topk's local/global selection counts against the
 // accurate k and the raw Gaussiank estimate.
-func Figure6(workload string, density float64, p, iters, sampleEvery, tauPrime int) SelectionSeries {
+func Figure6(env Env, workload string, density float64, p, iters, sampleEvery, tauPrime int) SelectionSeries {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "OkTopk",
@@ -437,11 +406,9 @@ func Figure6(workload string, density float64, p, iters, sampleEvery, tauPrime i
 		LR:        lrFor(workload),
 		Adam:      workload == "BERT",
 		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      wireMode,
-		Topology:  topoMode,
 	}
 	cfg.CaptureAcc = true
-	s := train.NewSession(cfg)
+	s := train.NewSession(env.config(cfg))
 	k := cfg.Reduce.KFor(s.N())
 	gk := sparsecoll.NewGaussiank(cfg.Reduce)
 	out := SelectionSeries{Workload: workload, Accurate: k}
@@ -495,7 +462,7 @@ type FillInResult struct {
 
 // FillIn measures TopkDSA's output density during short training runs
 // (paper: 13.2% for VGG at 1% on 16 GPUs, 34.5% for LSTM at 2% on 32).
-func FillIn(workload string, density float64, p, iters int) FillInResult {
+func FillIn(env Env, workload string, density float64, p, iters int) FillInResult {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "TopkDSA",
@@ -504,10 +471,8 @@ func FillIn(workload string, density float64, p, iters int) FillInResult {
 		Seed:      19,
 		LR:        lrFor(workload),
 		Reduce:    allreduce.Config{Density: density},
-		Wire:      wireMode,
-		Topology:  topoMode,
 	}
-	s := train.NewSession(cfg)
+	s := train.NewSession(env.config(cfg))
 	s.RunIterations(iters, nil)
 	dsa := s.Trainers[0].Algo.(*sparsecoll.TopkDSA)
 	return FillInResult{

@@ -32,7 +32,7 @@ type OverlapPoint struct {
 // overlapMeasure runs one DenseOvlp weak-scaling configuration at the
 // given bucket count and returns the mean (comm, total) seconds per
 // steady-state iteration.
-func overlapMeasure(workload string, p, batch, iters, buckets int) (comm, total float64) {
+func overlapMeasure(env Env, workload string, p, batch, iters, buckets int) (comm, total float64) {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "DenseOvlp",
@@ -42,10 +42,8 @@ func overlapMeasure(workload string, p, batch, iters, buckets int) (comm, total 
 		LR:        lrFor(workload),
 		Adam:      workload == "BERT",
 		Reduce:    allreduce.Config{Density: 0.01, TauPrime: 8, Tau: 8, DenseBuckets: buckets},
-		Wire:      wireMode,
-		Topology:  topoMode,
 	}
-	s := train.NewSession(cfg)
+	s := train.NewSession(env.config(cfg))
 	const warm = 2
 	count := 0
 	s.RunIterations(iters, func(st train.IterStats) {
@@ -66,11 +64,11 @@ func overlapMeasure(workload string, p, batch, iters, buckets int) (comm, total 
 // window, and the tail bucket — produced last, by the model's earliest
 // layers — is always exposed, so hiding saturates below 100% even
 // before per-bucket latency overheads bite.
-func OverlapAblation(workload string, p, batch, iters int, buckets []int) []OverlapPoint {
-	baseComm, _ := overlapMeasure(workload, p, batch, iters, 1)
+func OverlapAblation(env Env, workload string, p, batch, iters int, buckets []int) []OverlapPoint {
+	baseComm, _ := overlapMeasure(env, workload, p, batch, iters, 1)
 	var out []OverlapPoint
 	for _, nb := range buckets {
-		comm, total := overlapMeasure(workload, p, batch, iters, nb)
+		comm, total := overlapMeasure(env, workload, p, batch, iters, nb)
 		out = append(out, OverlapPoint{
 			Workload: workload, P: p, Buckets: nb,
 			ExposedComm: comm,

@@ -30,12 +30,11 @@ func TestFig8DeterministicAcrossParallelWorkersWire(t *testing.T) {
 	sc.WeakIters = 6
 	for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 		t.Run(wire.String(), func(t *testing.T) {
-			SetWire(wire)
-			defer SetWire(cluster.WireF64)
+			env := Env{Scale: sc, Wire: wire}
 			run := func(parallel, workers int) (string, string) {
 				tensor.SetWorkers(workers)
 				defer tensor.SetWorkers(0)
-				rs := RunSpecs(r.Specs(sc), parallel)
+				rs := RunSpecs(r.Specs(env), parallel)
 				var render, csv bytes.Buffer
 				r.Render(&render, rs)
 				if err := WriteCSV(&csv, rs); err != nil {
@@ -68,7 +67,7 @@ func TestOverlapAblationShape(t *testing.T) {
 	for _, wl := range []string{"VGG", "BERT"} {
 		t.Run(wl, func(t *testing.T) {
 			batch := map[string]int{"VGG": 16, "BERT": 4}[wl]
-			pts := OverlapAblation(wl, 4, batch, 5, []int{1, 8})
+			pts := OverlapAblation(Env{}, wl, 4, batch, 5, []int{1, 8})
 			if len(pts) != 2 {
 				t.Fatalf("%d points", len(pts))
 			}

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+
+	"repro/internal/cluster"
+	"repro/internal/netmodel"
+	"repro/internal/train"
 )
 
 // The runner registry: one Runner per paper table/figure (see DESIGN.md
@@ -56,13 +60,55 @@ func FullScale() Scale {
 	}
 }
 
+// Env is the run environment every runner reads: the experiment sizes,
+// the collective wire format, the network topology, an optional trace
+// directory and an optional multi-process launcher. It is built once
+// (cmd/oktopk-bench builds it from its flags) and passed by value to
+// Runner.Specs and on to every measurement; the package holds no other
+// run state, so specs from different environments can share one
+// RunSpecs call. The zero Wire and Topology are the seed behavior: the
+// f64 wire on the flat network.
+type Env struct {
+	Scale    Scale
+	Wire     cluster.Wire
+	Topology netmodel.Topology
+	// TraceDir, when non-empty, makes every runner that trains a
+	// session record the message trace of its final iteration into the
+	// directory (see traceFinalIteration).
+	TraceDir string
+	// TCPTrain, when non-nil, makes the tcpsmoke runner train over one
+	// worker process per rank: it launches cfg, runs iters iterations
+	// and returns rank 0's summary plus the job's host wall-clock. Nil
+	// trains in process. The cmd layer injects it (wrapping
+	// internal/worker.Launch) so that this package, and every test
+	// binary importing it, has no path that re-executes itself as a
+	// worker process.
+	TCPTrain func(cfg train.Config, iters int) (TCPTrainResult, error)
+}
+
+// config stamps the environment's wire and topology onto a training
+// configuration.
+func (e Env) config(cfg train.Config) train.Config {
+	cfg.Wire = e.Wire
+	cfg.Topology = e.Topology
+	return cfg
+}
+
+// cluster builds a p-rank measurement cluster on the Piz Daint
+// parameters under the environment's wire and topology.
+func (e Env) cluster(p int) *cluster.Cluster {
+	params := netmodel.PizDaint()
+	params.Topo = e.Topology
+	return cluster.NewWire(p, params, e.Wire)
+}
+
 // Runner is one registered table/figure reproduction.
 type Runner struct {
 	ID   string
 	Desc string
-	// Specs expands the runner into its independent configurations at
-	// the given scale.
-	Specs func(sc Scale) []Spec
+	// Specs expands the runner into its independent configurations
+	// under the given environment.
+	Specs func(env Env) []Spec
 	// Render writes the paper-style report from this runner's results,
 	// which arrive in spec order.
 	Render func(w io.Writer, rs []Result)
@@ -73,14 +119,14 @@ func Registry() []Runner {
 	return []Runner{
 		{
 			ID: "table1", Desc: "communication volume model vs measured",
-			Specs: func(sc Scale) []Spec { return table1Specs(sc.Table1Ps, sc.Table1N, sc.Table1K) },
+			Specs: func(env Env) []Spec { return table1Specs(env) },
 			Render: func(w io.Writer, rs []Result) {
 				renderTable1(w, rs)
 			},
 		},
 		{
 			ID: "table2", Desc: "model inventory",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(Env) []Spec {
 				return []Spec{{Runner: "table2", Config: "inventory", Run: func(Spec) Outcome {
 					var buf bytes.Buffer
 					Table2(&buf)
@@ -97,7 +143,7 @@ func Registry() []Runner {
 		},
 		{
 			ID: "fig4", Desc: "gradient distribution and threshold prediction (3 panels)",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(env Env) []Spec {
 				var specs []Spec
 				for _, p := range []struct {
 					wl string
@@ -107,7 +153,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig4", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							snap := Figure4(p.wl, p.d, 8, 30)
+							snap := Figure4(env, p.wl, p.d, 8, 30)
 							return Outcome{Payload: snap, Metrics: []Metric{
 								{"threshold_accurate", snap.Accurate},
 								{"threshold_oktopk_reused", snap.OkTopkReused},
@@ -123,14 +169,14 @@ func Registry() []Runner {
 		},
 		{
 			ID: "fig5", Desc: "empirical xi of Assumption 1 (3 panels)",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(env Env) []Spec {
 				var specs []Spec
 				for _, wl := range []string{"VGG", "LSTM", "BERT"} {
 					wl := wl
 					specs = append(specs, Spec{
 						Runner: "fig5", Config: wl,
 						Run: func(Spec) Outcome {
-							series := Figure5(wl, []float64{0.01, 0.02}, 4, 32, 4)
+							series := Figure5(env, wl, []float64{0.01, 0.02}, 4, 32, 4)
 							var ms []Metric
 							for di, d := range series.Densities {
 								var sum float64
@@ -152,7 +198,7 @@ func Registry() []Runner {
 		},
 		{
 			ID: "fig6", Desc: "top-k selection counts vs accurate vs Gaussiank (3 panels)",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(env Env) []Spec {
 				var specs []Spec
 				for _, p := range []struct {
 					wl       string
@@ -163,7 +209,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig6", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							s := Figure6(p.wl, p.d, 4, 32, 4, p.tauPrime)
+							s := Figure6(env, p.wl, p.d, 4, 32, 4, p.tauPrime)
 							dev := func(xs []float64) float64 {
 								var d float64
 								for _, v := range xs {
@@ -186,7 +232,7 @@ func Registry() []Runner {
 		},
 		{
 			ID: "fillin", Desc: "TopkDSA output-density expansion (§5.2)",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(env Env) []Spec {
 				var specs []Spec
 				for _, p := range []struct {
 					wl string
@@ -196,7 +242,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fillin", Config: fmt.Sprintf("%s density=%.1f%% P=16", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							r := FillIn(p.wl, p.d, 16, 6)
+							r := FillIn(env, p.wl, p.d, 16, 6)
 							return Outcome{Payload: r, Metrics: []Metric{
 								{"output_density_pct", r.MeanFill * 100},
 								{"expansion_x", r.Expansion},
@@ -210,14 +256,15 @@ func Registry() []Runner {
 		},
 		{
 			ID: "fig7", Desc: "load-balancing speedups",
-			Specs: func(sc Scale) []Spec {
+			Specs: func(env Env) []Spec {
+				sc := env.Scale
 				var specs []Spec
 				for _, p := range sc.Fig7Ps {
 					p := p
 					specs = append(specs, Spec{
 						Runner: "fig7", Config: fmt.Sprintf("P=%d", p),
 						Run: func(Spec) Outcome {
-							rs := Figure7([]int{p}, sc.Fig7N, sc.Fig7Density)
+							rs := Figure7(env, []int{p}, sc.Fig7N, sc.Fig7Density)
 							return Outcome{Payload: rs[0], Metrics: []Metric{
 								{"reduce_speedup_x", rs[0].ReduceSpeedup},
 								{"allgather_speedup_x", rs[0].AllgatherSpeedup},
@@ -252,7 +299,7 @@ func Registry() []Runner {
 		topoRunner(),
 		{
 			ID: "tcpsmoke", Desc: "transport smoke: fig5 Table-1 shape trained end-to-end (P=4)",
-			Specs:  func(Scale) []Spec { return tcpSmokeSpecs() },
+			Specs:  tcpSmokeSpecs,
 			Render: renderTCPSmoke,
 		},
 	}
@@ -266,7 +313,8 @@ func ovlpRunner() Runner {
 	buckets := []int{1, 2, 4, 8, 16}
 	return Runner{
 		ID: id, Desc: "DenseOvlp backward-overlap bucket-pipeline ablation",
-		Specs: func(sc Scale) []Spec {
+		Specs: func(env Env) []Spec {
+			sc := env.Scale
 			var specs []Spec
 			for _, w := range []struct {
 				wl    string
@@ -277,7 +325,7 @@ func ovlpRunner() Runner {
 				specs = append(specs, Spec{
 					Runner: id, Config: fmt.Sprintf("%s P=%d", w.wl, p),
 					Run: func(Spec) Outcome {
-						pts := OverlapAblation(w.wl, p, w.batch, sc.WeakIters, buckets)
+						pts := OverlapAblation(env, w.wl, p, w.batch, sc.WeakIters, buckets)
 						var ms []Metric
 						for _, pt := range pts {
 							ms = append(ms,
@@ -355,9 +403,9 @@ func breakdownMetrics(bs []Breakdown) []Metric {
 // into one spec per cluster size. Weak scaling holds the local batch
 // constant (the paper's global batch grows ∝P): VGG 16/GPU, LSTM 2/GPU,
 // BERT 8/GPU.
-func weakSpecs(id, workload string, density float64, batches map[int]int, sc Scale) []Spec {
+func weakSpecs(id, workload string, density float64, batches map[int]int, env Env) []Spec {
 	var specs []Spec
-	for _, p := range sc.WeakPs[workload] {
+	for _, p := range env.Scale.WeakPs[workload] {
 		p := p
 		batch := batches[p]
 		if batch == 0 {
@@ -366,7 +414,7 @@ func weakSpecs(id, workload string, density float64, batches map[int]int, sc Sca
 		specs = append(specs, Spec{
 			Runner: id, Config: fmt.Sprintf("%s P=%d density=%.1f%%", workload, p, density*100),
 			Run: func(Spec) Outcome {
-				bs := WeakScaling(workload, p, batch, sc.WeakIters, density, nil)
+				bs := WeakScaling(env, workload, p, batch, env.Scale.WeakIters, density, nil)
 				title := fmt.Sprintf("%s weak scaling, P=%d, density=%.1f%% (runtime/iteration breakdown)",
 					workload, p, density*100)
 				return Outcome{Payload: weakBreakdowns{title, bs}, Metrics: breakdownMetrics(bs)}
@@ -390,7 +438,7 @@ func renderWeak(w io.Writer, rs []Result) {
 func weakRunner(id, desc, workload string, density float64, batches map[int]int) Runner {
 	return Runner{
 		ID: id, Desc: desc,
-		Specs:  func(sc Scale) []Spec { return weakSpecs(id, workload, density, batches, sc) },
+		Specs:  func(env Env) []Spec { return weakSpecs(id, workload, density, batches, env) },
 		Render: renderWeak,
 	}
 }
@@ -401,14 +449,14 @@ func fig12Runner() Runner {
 	id := "fig12"
 	return Runner{
 		ID: id, Desc: "BERT weak scaling breakdown + parallel efficiency",
-		Specs: func(sc Scale) []Spec {
-			specs := weakSpecs(id, "BERT", 0.01, map[int]int{8: 8, 16: 8, 32: 8, 64: 8, 256: 8}, sc)
-			ps := sc.WeakPs["BERT"]
+		Specs: func(env Env) []Spec {
+			specs := weakSpecs(id, "BERT", 0.01, map[int]int{8: 8, 16: 8, 32: 8, 64: 8, 256: 8}, env)
+			ps := env.Scale.WeakPs["BERT"]
 			base, scaled := ps[0], ps[len(ps)-1]
 			specs = append(specs, Spec{
 				Runner: id, Config: fmt.Sprintf("efficiency %d->%d", base, scaled),
 				Run: func(Spec) Outcome {
-					eff := ParallelEfficiency("BERT", base, scaled, 4, sc.WeakIters, 0.01)
+					eff := ParallelEfficiency(env, "BERT", base, scaled, 4, env.Scale.WeakIters, 0.01)
 					return Outcome{Payload: eff, Metrics: []Metric{{"parallel_efficiency", eff}}}
 				},
 			})
@@ -436,7 +484,8 @@ func fig12Runner() Runner {
 func convRunner(id, desc, workload string, density float64, algos []string, bert bool) Runner {
 	return Runner{
 		ID: id, Desc: desc,
-		Specs: func(sc Scale) []Spec {
+		Specs: func(env Env) []Spec {
+			sc := env.Scale
 			p := sc.ConvP
 			if bert {
 				p = sc.BertP
@@ -449,7 +498,7 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 					Runner: id, Config: fmt.Sprintf("%s %s P=%d", workload, algo, p),
 					Seed: seed,
 					Run: func(s Spec) Outcome {
-						curves := Convergence(ConvergenceConfig{
+						curves := Convergence(env, ConvergenceConfig{
 							Workload:   workload,
 							Algorithms: []string{algo},
 							P:          p,
@@ -495,9 +544,10 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 
 // table1Specs measures all algorithms' per-rank volumes at one cluster
 // size per spec.
-func table1Specs(ps []int, n, k int) []Spec {
+func table1Specs(env Env) []Spec {
+	n, k := env.Scale.Table1N, env.Scale.Table1K
 	var specs []Spec
-	for _, p := range ps {
+	for _, p := range env.Scale.Table1Ps {
 		p := p
 		specs = append(specs, Spec{
 			Runner: "table1", Config: fmt.Sprintf("P=%d n=%d k=%d", p, n, k),
@@ -505,7 +555,7 @@ func table1Specs(ps []int, n, k int) []Spec {
 				col := Table1Col{P: p, N: n, K: k,
 					Mean: map[string]float64{}, Max: map[string]float64{}}
 				for _, name := range table1Algorithms {
-					mean, max := MeasureVolumeStats(name, p, n, k)
+					mean, max := MeasureVolumeStats(env, name, p, n, k)
 					col.Mean[name] = mean
 					col.Max[name] = max
 				}

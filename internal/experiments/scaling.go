@@ -47,7 +47,7 @@ func BandGradients(seed int64, p, n, heavy, bandLo, bandHi int) [][]float64 {
 // figure7Makespan runs Ok-Topk over a schedule of per-iteration gradient
 // sets with the given ablation flags and returns the makespan of the
 // final iteration.
-func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bool) float64 {
+func figure7Makespan(env Env, schedule [][][]float64, k, tau int, repartition, balance bool) float64 {
 	p := len(schedule[0])
 	cfg := allreduce.Config{
 		K: k, TauPrime: 2, Tau: tau,
@@ -57,7 +57,7 @@ func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bo
 	for i := range algos {
 		algos[i] = core.New(cfg)
 	}
-	c := cluster.NewWire(p, netmodel.PizDaint(), wireMode)
+	c := env.cluster(p)
 	for it := 1; it <= len(schedule); it++ {
 		if it == len(schedule) {
 			c.ResetClocks()
@@ -86,14 +86,14 @@ func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bo
 // conditional data-balancing step (§3.1.2) triggers and spreads the
 // allgatherv input. The paper likewise reports panel (b) "for the
 // iterations where data balancing is triggered".
-func Figure7(ps []int, n int, density float64) []LoadBalanceResult {
+func Figure7(env Env, ps []int, n int, density float64) []LoadBalanceResult {
 	var out []LoadBalanceResult
 	k := int(density * float64(n))
 	for _, p := range ps {
 		skewed := SyntheticGradients(91, p, n, k, 0.9)
 		scheduleA := [][][]float64{skewed, skewed}
-		balancedA := figure7Makespan(scheduleA, k, 2, true, true)
-		naiveReduce := figure7Makespan(scheduleA, k, 2, false, true)
+		balancedA := figure7Makespan(env, scheduleA, k, 2, true, true)
+		naiveReduce := figure7Makespan(env, scheduleA, k, 2, false, true)
 
 		// Boundaries form on a uniform distribution at t=1, then the
 		// heavy mass moves into the band covering two of the (stale)
@@ -101,8 +101,8 @@ func Figure7(ps []int, n int, density float64) []LoadBalanceResult {
 		uniform := SyntheticGradients(92, p, n, k, 0)
 		band := BandGradients(93, p, n, k, 0, 2*n/p)
 		scheduleB := [][][]float64{uniform, band}
-		balancedB := figure7Makespan(scheduleB, k, 64, true, true)
-		directAllgather := figure7Makespan(scheduleB, k, 64, true, false)
+		balancedB := figure7Makespan(env, scheduleB, k, 64, true, true)
+		directAllgather := figure7Makespan(env, scheduleB, k, 64, true, false)
 		out = append(out, LoadBalanceResult{
 			P:                p,
 			ReduceSpeedup:    naiveReduce / balancedA,
@@ -137,7 +137,7 @@ type Breakdown struct {
 // breakdowns (Figures 8, 10 and 12). Iterations before warm discard the
 // first threshold/boundary evaluations, matching the paper's
 // steady-state averages.
-func WeakScaling(workload string, p, batch, iters int, density float64, algorithms []string) []Breakdown {
+func WeakScaling(env Env, workload string, p, batch, iters int, density float64, algorithms []string) []Breakdown {
 	if algorithms == nil {
 		algorithms = train.AlgorithmNames
 	}
@@ -152,10 +152,8 @@ func WeakScaling(workload string, p, batch, iters int, density float64, algorith
 			LR:        lrFor(workload),
 			Adam:      workload == "BERT",
 			Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
 		}
-		s := train.NewSession(cfg)
+		s := train.NewSession(env.config(cfg))
 		const warm = 2
 		var sum Breakdown
 		count := 0
@@ -173,7 +171,7 @@ func WeakScaling(workload string, p, batch, iters int, density float64, algorith
 		// The batch size disambiguates specs that share workload/algo/P
 		// (fig12's breakdown and parallel-efficiency specs run
 		// concurrently and must not write the same trace file).
-		traceFinalIteration(s, fmt.Sprintf("weak_%s_%s_P%d_b%d", workload, algo, p, batch), func() {
+		traceFinalIteration(env.TraceDir, s, fmt.Sprintf("weak_%s_%s_P%d_b%d", workload, algo, p, batch), func() {
 			cb(s.RunIteration())
 		})
 		out = append(out, Breakdown{
@@ -211,8 +209,8 @@ func PrintBreakdowns(w io.Writer, title string, bs []Breakdown) {
 // ParallelEfficiency computes Ok-Topk's weak-scaling parallel efficiency
 // between a base and a scaled cluster size (the paper reports 76.3% from
 // 32 to 256 GPUs for BERT).
-func ParallelEfficiency(workload string, basePS, scaledPS, batch, iters int, density float64) float64 {
-	base := WeakScaling(workload, basePS, batch, iters, density, []string{"OkTopk"})
-	scaled := WeakScaling(workload, scaledPS, batch, iters, density, []string{"OkTopk"})
+func ParallelEfficiency(env Env, workload string, basePS, scaledPS, batch, iters int, density float64) float64 {
+	base := WeakScaling(env, workload, basePS, batch, iters, density, []string{"OkTopk"})
+	scaled := WeakScaling(env, workload, scaledPS, batch, iters, density, []string{"OkTopk"})
 	return base[0].Total / scaled[0].Total
 }

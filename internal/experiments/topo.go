@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/allreduce"
 	"repro/internal/netmodel"
-	"repro/internal/train"
 )
 
 // The topo scenario runner: topology × algorithm × straggler severity.
@@ -44,55 +42,10 @@ func topoScenarios() []topoScenario {
 	}
 }
 
-// TopoPoint is one (scenario, algorithm) cell: mean per-iteration phase
-// seconds of a short training run under that topology.
-type TopoPoint struct {
-	Scenario  string
-	Algorithm string
-	Sparsify  float64
-	Comm      float64
-	Compute   float64
-	Total     float64
-}
-
-// TopoScenario trains the workload under an explicit topology and
-// returns the steady-state per-iteration breakdown. It parallels
-// WeakScaling but takes the topology per call (the sweep runs many
-// topologies in one process, so the global topoMode cannot express it).
-func TopoScenario(workload string, p, batch, iters int, density float64, algo string, topo netmodel.Topology) TopoPoint {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: algo,
-		P:         p,
-		Batch:     batch,
-		Seed:      23,
-		LR:        lrFor(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
-		Wire:      wireMode,
-		Topology:  topo,
-	}
-	s := train.NewSession(cfg)
-	const warm = 2
-	var sum TopoPoint
-	count := 0
-	s.RunIterations(iters, func(st train.IterStats) {
-		if st.Iter <= warm {
-			return
-		}
-		sum.Compute += st.Phase[netmodel.PhaseCompute]
-		sum.Sparsify += st.Phase[netmodel.PhaseSparsify]
-		sum.Comm += st.Phase[netmodel.PhaseComm]
-		sum.Total += st.IterSeconds
-		count++
-	})
-	return TopoPoint{
-		Algorithm: algo,
-		Sparsify:  sum.Sparsify / float64(count),
-		Comm:      sum.Comm / float64(count),
-		Compute:   sum.Compute / float64(count),
-		Total:     sum.Total / float64(count),
-	}
+// topoPoint is one (scenario, algorithm) cell of the sweep.
+type topoPoint struct {
+	Scenario string
+	Breakdown
 }
 
 // topoRunner sweeps topology × algorithm × straggler severity on one
@@ -104,9 +57,19 @@ func topoRunner() Runner {
 	id := "topo"
 	return Runner{
 		ID: id, Desc: "topology scenarios: hierarchy x contention x stragglers (+Hierarchical allreduce row)",
-		Specs: func(sc Scale) []Spec {
+		Specs: func(env Env) []Spec {
+			// Each spec trains under its own topology, so the sweep
+			// hands WeakScaling a copy of env with Topology replaced.
+			// Tracing is off: the scenarios share the workload, P and
+			// batch that name a weak-scaling trace file.
+			env.TraceDir = ""
+			under := func(topo netmodel.Topology) Env {
+				e := env
+				e.Topology = topo
+				return e
+			}
 			workload := "VGG"
-			p := sc.WeakPs[workload][0]
+			p := env.Scale.WeakPs[workload][0]
 			batch := 8
 			var specs []Spec
 			for _, sn := range topoScenarios() {
@@ -120,12 +83,11 @@ func topoRunner() Runner {
 					specs = append(specs, Spec{
 						Runner: id, Config: fmt.Sprintf("%s %s P=%d", sn.Name, algo, p),
 						Run: func(Spec) Outcome {
-							pt := TopoScenario(workload, p, batch, sc.WeakIters, 0.01, algo, topo)
-							pt.Scenario = sn.Name
-							return Outcome{Payload: pt, Metrics: []Metric{
-								{"total_s", pt.Total},
-								{"comm_s", pt.Comm},
-								{"compute_s", pt.Compute},
+							b := WeakScaling(under(topo), workload, p, batch, env.Scale.WeakIters, 0.01, []string{algo})[0]
+							return Outcome{Payload: topoPoint{sn.Name, b}, Metrics: []Metric{
+								{"total_s", b.Total},
+								{"comm_s", b.Comm},
+								{"compute_s", b.Compute},
 							}}
 						},
 					})
@@ -134,12 +96,13 @@ func topoRunner() Runner {
 			specs = append(specs, Spec{
 				Runner: id, Config: "flat==legacy digest check",
 				Run: func(Spec) Outcome {
-					legacy := TopoScenario(workload, p, batch, 4, 0.01, "Dense", netmodel.Topology{})
+					dense := []string{"Dense"}
+					legacy := WeakScaling(under(netmodel.Topology{}), workload, p, batch, 4, 0.01, dense)[0]
 					flatTopo, err := netmodel.BuildTopology("flat", 0, 0, SeedFor(id, "flat"))
 					if err != nil {
 						panic(err)
 					}
-					flat := TopoScenario(workload, p, batch, 4, 0.01, "Dense", flatTopo)
+					flat := WeakScaling(under(flatTopo), workload, p, batch, 4, 0.01, dense)[0]
 					ok := math.Float64bits(flat.Total) == math.Float64bits(legacy.Total) &&
 						math.Float64bits(flat.Comm) == math.Float64bits(legacy.Comm)
 					if !ok {
@@ -159,14 +122,14 @@ func topoRunner() Runner {
 // scenario's per-algorithm breakdown with the winner marked, and closes
 // with the ranking-flip summary the sweep exists to surface.
 func renderTopo(w io.Writer, rs []Result) {
-	byScenario := map[string][]TopoPoint{}
+	byScenario := map[string][]topoPoint{}
 	var order []string
 	for _, r := range rs {
 		if r.Err != nil {
 			fmt.Fprintf(w, "  %s: FAILED: %v\n", r.Spec.Config, r.Err)
 			continue
 		}
-		pt, ok := r.Outcome.Payload.(TopoPoint)
+		pt, ok := r.Outcome.Payload.(topoPoint)
 		if !ok {
 			fmt.Fprintf(w, "  %v\n", r.Outcome.Payload)
 			continue
@@ -186,7 +149,7 @@ func renderTopo(w io.Writer, rs []Result) {
 				best = pt
 			}
 		}
-		ranked := append([]TopoPoint(nil), pts...)
+		ranked := append([]topoPoint(nil), pts...)
 		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Total < ranked[j].Total })
 		var names []string
 		for _, pt := range ranked {

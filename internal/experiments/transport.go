@@ -6,28 +6,10 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/cluster"
 	"repro/internal/train"
 )
 
-// Transport selection for the experiment layer. Every figure's modeled
-// quantities come from the deterministic simulation, so ordinary
-// runners always use the inproc backend regardless of this setting —
-// that is what keeps their stdout byte-identical. The transport only
-// changes how the tcpsmoke runner executes: over real worker processes
-// (tcp) or in-process (inproc). Set both before RunSpecs, never
-// concurrently with one (the -transport flag on cmd/oktopk-bench).
-var (
-	transportKind = cluster.TransportInproc
-	// tcpTrainRun launches cfg as one worker process per rank and
-	// returns rank 0's summary plus the job's host wall-clock. It is
-	// injected by the cmd layer (wrapping internal/worker.Launch) so
-	// that experiments — and every test binary importing it — has no
-	// path that re-executes itself as a worker process.
-	tcpTrainRun func(cfg train.Config, iters int) (TCPTrainResult, error)
-)
-
-// TCPTrainResult is what the injected launcher reports back.
+// TCPTrainResult is what the Env.TCPTrain launcher reports back.
 type TCPTrainResult struct {
 	SimSeconds float64 // modeled training time (authoritative)
 	Loss       float64 // final-iteration mean loss
@@ -36,41 +18,26 @@ type TCPTrainResult struct {
 	Wall       time.Duration // host wall-clock, rendezvous included
 }
 
-// SetTransport selects the backend for transport-aware runners.
-func SetTransport(k cluster.TransportKind) { transportKind = k }
-
-// SetTCPTrainRunner injects the multi-process launcher used when the
-// transport is tcp.
-func SetTCPTrainRunner(fn func(cfg train.Config, iters int) (TCPTrainResult, error)) {
-	tcpTrainRun = fn
-}
-
 // tcpSmokeIters keeps the smoke run in CI territory.
 const tcpSmokeIters = 8
 
-// tcpSmokeConfig is the fig5 Table-1 shape: VGG at P=4, density 1%,
-// Ok-Topk — the configuration the acceptance smoke trains end-to-end
-// over real processes.
-func tcpSmokeConfig(seed int64) train.Config {
-	return train.Config{
-		Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: seed, LR: 0.03,
-		Reduce:   allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
-		Wire:     wireMode,
-		Topology: topoMode,
-	}
-}
-
-// tcpSmokeSpecs is the tcpsmoke runner's single configuration.
-func tcpSmokeSpecs() []Spec {
+// tcpSmokeSpecs is the tcpsmoke runner's single configuration. Every
+// figure's modeled quantities come from the deterministic simulation,
+// so ordinary runners always train in process — that is what keeps
+// their stdout byte-identical. Only this runner looks at Env.TCPTrain:
+// with a launcher it trains over real worker processes, without one in
+// process.
+func tcpSmokeSpecs(env Env) []Spec {
 	return []Spec{{
 		Runner: "tcpsmoke", Config: "VGG P=4 density=1%",
 		Run: func(s Spec) Outcome {
-			cfg := tcpSmokeConfig(s.Seed)
-			if transportKind == cluster.TransportTCP {
-				if tcpTrainRun == nil {
-					panic("experiments: tcp transport selected but no launcher injected (SetTCPTrainRunner)")
-				}
-				res, err := tcpTrainRun(cfg, tcpSmokeIters)
+			// The fig5 Table-1 shape: VGG at P=4, density 1%, Ok-Topk.
+			cfg := env.config(train.Config{
+				Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: s.Seed, LR: 0.03,
+				Reduce: allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
+			})
+			if env.TCPTrain != nil {
+				res, err := env.TCPTrain(cfg, tcpSmokeIters)
 				if err != nil {
 					panic(err)
 				}

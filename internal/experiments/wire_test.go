@@ -17,8 +17,7 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full fig5 runs")
 	}
-	SetWire(cluster.WireF32)
-	defer SetWire(cluster.WireF64)
+	env := Env{Scale: QuickScale(), Wire: cluster.WireF32}
 	r, ok := FindRunner("fig5")
 	if !ok {
 		t.Fatal("fig5 not registered")
@@ -26,7 +25,7 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	run := func(parallel, workers int) (string, string) {
 		tensor.SetWorkers(workers)
 		defer tensor.SetWorkers(0)
-		rs := RunSpecs(r.Specs(QuickScale()), parallel)
+		rs := RunSpecs(r.Specs(env), parallel)
 		var render, csv bytes.Buffer
 		r.Render(&render, rs)
 		if err := WriteCSV(&csv, rs); err != nil {
@@ -47,15 +46,13 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	}
 }
 
-// TestWireModeChangesVolume: the experiment-level wire switch must
+// TestWireModeChangesVolume: the environment's wire must
 // actually reach the measurement clusters — Table 1 volumes on the f32
 // wire are half the f64 volumes.
 func TestWireModeChangesVolume(t *testing.T) {
-	defer SetWire(cluster.WireF64)
 	vols := map[cluster.Wire]float64{}
 	for _, w := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
-		SetWire(w)
-		vols[w] = MeasureVolume("OkTopk", 8, 20000, 200)
+		vols[w] = MeasureVolume(Env{Wire: w}, "OkTopk", 8, 20000, 200)
 	}
 	ratio := vols[cluster.WireF32] / vols[cluster.WireF64]
 	if ratio > 0.55 || ratio < 0.45 {

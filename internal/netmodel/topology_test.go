@@ -211,16 +211,31 @@ func TestStragglerFraction(t *testing.T) {
 	}
 }
 
-// TestSlowdownNeverSpeedsUp: the straggler/jitter multiplier is ≥ 1 for
-// every (rank, step) — injection can only delay a rank.
+// TestSlowdownNeverSpeedsUp: straggler and jitter injection can only
+// delay a rank. For every (rank, step), a clock under a noisy topology
+// charges at least the unslowed time for the same compute and sleep,
+// and some rank is actually slowed.
 func TestSlowdownNeverSpeedsUp(t *testing.T) {
-	topo := Topology{StragglerFrac: 0.5, StragglerSlow: 3, Jitter: 0.25, Seed: 11}
+	noisy := topoParams(Topology{StragglerFrac: 0.5, StragglerSlow: 3, Jitter: 0.25, Seed: 11})
+	slowed := false
 	for rank := 0; rank < 16; rank++ {
 		for step := 0; step < 16; step++ {
-			if m := topo.slowdown(rank, step); m < 1 {
-				t.Fatalf("slowdown(%d,%d) = %v < 1", rank, step, m)
+			charge := func(p Params) float64 {
+				c := NewRankClock(p, rank)
+				c.SetStep(step)
+				c.Compute(1e9)
+				c.Sleep(1e-3)
+				return c.Now()
 			}
+			got, base := charge(noisy), charge(PizDaint())
+			if got < base {
+				t.Fatalf("rank %d step %d: charged %v, unslowed %v", rank, step, got, base)
+			}
+			slowed = slowed || got > base
 		}
+	}
+	if !slowed {
+		t.Fatal("no rank was slowed: the topology injected nothing")
 	}
 }
 
